@@ -20,30 +20,56 @@ pub enum Direction {
     ServerToClient,
 }
 
+/// One captured segment's share of a reassembled stream: bytes
+/// borrowed from the capture frame, stamped with its capture time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamPiece<'t> {
+    /// Stream offset of `data[0]`.
+    pub offset: u64,
+    pub data: &'t [u8],
+    pub time: SimTime,
+}
+
 /// A contiguous run of reassembled stream bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamChunk {
+pub struct StreamChunk<'t> {
     /// Stream offset of the first byte (relative to the first captured
     /// payload byte of this direction).
     pub start_offset: u64,
-    pub data: Vec<u8>,
-    /// `(absolute stream offset, capture time)` marks, one per
-    /// contributing segment, ascending by offset.
-    pub marks: Vec<(u64, SimTime)>,
+    /// The captured pieces that tile the run, ascending and trimmed of
+    /// overlap: each starts where the previous one ends.
+    pub pieces: Vec<StreamPiece<'t>>,
+}
+
+impl StreamChunk<'_> {
+    /// Stream offset one past the last byte.
+    pub fn end_offset(&self) -> u64 {
+        self.pieces
+            .last()
+            .map_or(self.start_offset, |p| p.offset + p.data.len() as u64)
+    }
+
+    /// The run's bytes, copied into one buffer.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.pieces.iter().flat_map(|p| p.data).copied().collect()
+    }
 }
 
 /// One direction of one flow, reassembled.
 #[derive(Debug, Clone, Default)]
-pub struct StreamView {
+pub struct StreamView<'t> {
     /// Contiguous chunks, ascending, non-overlapping. Bytes between
     /// consecutive chunks were lost by the tap.
-    pub chunks: Vec<StreamChunk>,
+    pub chunks: Vec<StreamChunk<'t>>,
 }
 
-impl StreamView {
+impl StreamView<'_> {
     /// Total reassembled payload bytes.
     pub fn data_bytes(&self) -> u64 {
-        self.chunks.iter().map(|c| c.data.len() as u64).sum()
+        self.chunks
+            .iter()
+            .map(|c| c.end_offset() - c.start_offset)
+            .sum()
     }
 
     /// Total bytes lost in gaps between chunks.
@@ -51,9 +77,7 @@ impl StreamView {
         self.chunks
             .windows(2)
             .map(|w| match w {
-                [a, b] => b
-                    .start_offset
-                    .saturating_sub(a.start_offset + a.data.len() as u64),
+                [a, b] => b.start_offset.saturating_sub(a.end_offset()),
                 _ => 0,
             })
             .sum()
@@ -66,25 +90,23 @@ impl StreamView {
 
     /// Capture time of the segment containing `offset`, if known.
     pub fn time_at(&self, offset: u64) -> Option<SimTime> {
-        for c in &self.chunks {
-            let end = c.start_offset + c.data.len() as u64;
-            if offset >= c.start_offset && offset < end {
-                // Last mark at or before `offset`.
-                let idx = c.marks.partition_point(|(o, _)| *o <= offset);
-                return c.marks.get(idx.saturating_sub(1)).map(|(_, t)| *t);
-            }
+        let c = self.chunks.partition_point(|c| c.start_offset <= offset);
+        let chunk = self.chunks.get(c.checked_sub(1)?)?;
+        if offset >= chunk.end_offset() {
+            return None;
         }
-        None
+        let p = chunk.pieces.partition_point(|p| p.offset <= offset);
+        chunk.pieces.get(p.checked_sub(1)?).map(|p| p.time)
     }
 }
 
-/// Both directions of one TCP connection.
+/// Both directions of one TCP connection, borrowing the capture.
 #[derive(Debug, Clone)]
-pub struct FlowStreams {
+pub struct FlowStreams<'t> {
     /// The client→server flow id (client identified as the non-443 side).
     pub client_flow: FlowId,
-    pub upstream: StreamView,
-    pub downstream: StreamView,
+    pub upstream: StreamView<'t>,
+    pub downstream: StreamView<'t>,
 }
 
 /// Reassemble every TCP connection in a trace.
@@ -94,42 +116,37 @@ pub struct FlowStreams {
 pub struct FlowReassembler;
 
 impl FlowReassembler {
-    /// Run reassembly over the full trace.
-    pub fn reassemble(trace: &Trace) -> Vec<FlowStreams> {
-        // Group segments by canonical flow.
-        type Segment = (SimTime, FlowId, u32, Vec<u8>);
-        let mut flows: BTreeMap<FlowId, Vec<Segment>> = BTreeMap::new();
+    /// Run reassembly over the full trace. No payload byte is copied:
+    /// the streams borrow the trace's frames.
+    pub fn reassemble(trace: &Trace) -> Vec<FlowStreams<'_>> {
+        // Per canonical flow: the client→server id and both directions.
+        type Flow<'t> = (FlowId, DirectionAssembler<'t>, DirectionAssembler<'t>);
+        let mut flows: BTreeMap<FlowId, Flow<'_>> = BTreeMap::new();
         for (time, flow, tcp, payload) in segments_of(trace) {
             if payload.is_empty() {
                 continue; // pure ACKs and control segments carry no stream bytes
             }
-            flows
-                .entry(flow.canonical())
-                .or_default()
-                .push((time, flow, tcp.seq, payload));
-        }
-        flows
-            .into_iter()
-            .map(|(canonical, segs)| {
+            let canonical = flow.canonical();
+            let (client_flow, up, down) = flows.entry(canonical).or_insert_with(|| {
                 let client_flow = if canonical.src_port == 443 {
                     canonical.reversed()
                 } else {
                     canonical
                 };
-                let mut up = DirectionAssembler::new();
-                let mut down = DirectionAssembler::new();
-                for (time, flow, seq, payload) in segs {
-                    if flow == client_flow {
-                        up.add(time, seq, &payload);
-                    } else {
-                        down.add(time, seq, &payload);
-                    }
-                }
-                FlowStreams {
-                    client_flow,
-                    upstream: up.finish(),
-                    downstream: down.finish(),
-                }
+                (client_flow, Default::default(), Default::default())
+            });
+            if flow == *client_flow {
+                up.add(time, tcp.seq, payload);
+            } else {
+                down.add(time, tcp.seq, payload);
+            }
+        }
+        flows
+            .into_values()
+            .map(|(client_flow, up, down)| FlowStreams {
+                client_flow,
+                upstream: up.finish(),
+                downstream: down.finish(),
             })
             .collect()
     }
@@ -141,25 +158,19 @@ impl FlowReassembler {
 /// captures may reveal *earlier* stream bytes (out-of-order capture, or
 /// the anchor itself was a retransmission), so offsets are tracked as
 /// signed relatives and normalized once at the end.
-struct DirectionAssembler {
+#[derive(Default)]
+struct DirectionAssembler<'t> {
     /// Wire seq of the first payload byte seen (relative offset 0).
     base_seq: Option<u32>,
-    /// Segments keyed by signed relative stream offset.
-    segments: BTreeMap<i64, (Vec<u8>, SimTime)>,
+    /// `(signed relative stream offset, payload, capture time)`, in
+    /// capture order.
+    segments: Vec<(i64, &'t [u8], SimTime)>,
     /// Most recent relative offset, for unwrapping multi-wrap streams.
     last_rel: i64,
 }
 
-impl DirectionAssembler {
-    fn new() -> Self {
-        DirectionAssembler {
-            base_seq: None,
-            segments: BTreeMap::new(),
-            last_rel: 0,
-        }
-    }
-
-    fn add(&mut self, time: SimTime, seq: u32, payload: &[u8]) {
+impl<'t> DirectionAssembler<'t> {
+    fn add(&mut self, time: SimTime, seq: u32, payload: &'t [u8]) {
         let base = *self.base_seq.get_or_insert(seq);
         let raw = seq.wrapping_sub(base) as i64; // 0..2^32
                                                  // Choose raw + k·2^32 closest to the last seen offset.
@@ -167,46 +178,37 @@ impl DirectionAssembler {
         let k = (self.last_rel - raw + span / 2).div_euclid(span);
         let rel = raw + k * span;
         self.last_rel = self.last_rel.max(rel);
-        // Keep the earliest copy of each offset (retransmissions are
-        // later and carry identical bytes).
-        self.segments
-            .entry(rel)
-            .or_insert_with(|| (payload.to_vec(), time));
+        self.segments.push((rel, payload, time));
     }
 
-    fn finish(self) -> StreamView {
-        let min_rel = self.segments.keys().next().copied().unwrap_or(0);
-        let mut chunks: Vec<StreamChunk> = Vec::new();
-        for (rel, (payload, time)) in self.segments {
-            let abs = (rel - min_rel) as u64;
-            let end = abs + payload.len() as u64;
+    fn finish(mut self) -> StreamView<'t> {
+        // Keep the earliest copy of each offset (retransmissions are
+        // later and carry identical bytes): the sort is stable, so that
+        // copy leads its run of equal offsets.
+        self.segments.sort_by_key(|&(rel, _, _)| rel);
+        self.segments.dedup_by_key(|&mut (rel, _, _)| rel);
+        let min_rel = self.segments.first().map_or(0, |&(rel, _, _)| rel);
+        let mut chunks: Vec<StreamChunk<'t>> = Vec::new();
+        for (rel, data, time) in self.segments {
+            let offset = (rel - min_rel) as u64;
             match chunks.last_mut() {
-                Some(last) => {
-                    let last_end = last.start_offset + last.data.len() as u64;
-                    if abs <= last_end {
-                        // Contiguous or overlapping: append the new tail.
-                        if end > last_end {
-                            let skip = (last_end - abs) as usize;
-                            last.data
-                                .extend_from_slice(payload.get(skip..).unwrap_or_default());
-                            last.marks.push((last_end, time));
-                        }
-                        // Fully contained duplicates contribute nothing.
-                    } else {
-                        chunks.push(StreamChunk {
-                            start_offset: abs,
-                            data: payload,
-                            marks: vec![(abs, time)],
+                Some(last) if offset <= last.end_offset() => {
+                    // Contiguous or overlapping: keep the new tail.
+                    // Fully contained duplicates contribute nothing.
+                    let last_end = last.end_offset();
+                    if offset + data.len() as u64 > last_end {
+                        let skip = (last_end - offset) as usize;
+                        last.pieces.push(StreamPiece {
+                            offset: last_end,
+                            data: data.get(skip..).unwrap_or_default(),
+                            time,
                         });
                     }
                 }
-                None => {
-                    chunks.push(StreamChunk {
-                        start_offset: abs,
-                        data: payload,
-                        marks: vec![(abs, time)],
-                    });
-                }
+                _ => chunks.push(StreamChunk {
+                    start_offset: offset,
+                    pieces: vec![StreamPiece { offset, data, time }],
+                }),
             }
         }
         StreamView { chunks }
@@ -250,7 +252,7 @@ mod tests {
         assert_eq!(flows.len(), 1);
         let up = &flows[0].upstream;
         assert_eq!(up.chunks.len(), 1);
-        assert_eq!(up.chunks[0].data, b"hello world");
+        assert_eq!(up.chunks[0].to_vec(), b"hello world");
         assert_eq!(up.gap_count(), 0);
         assert_eq!(up.time_at(0), Some(SimTime(1)));
         assert_eq!(up.time_at(8), Some(SimTime(2)));
@@ -261,11 +263,12 @@ mod tests {
         let mut tap = Tap::new();
         tap.record_segment(SimTime(1), &seg(client_flow(), 10, b"request"));
         tap.record_segment(SimTime(2), &seg(client_flow().reversed(), 99, b"response"));
-        let flows = FlowReassembler::reassemble(&tap.into_trace());
+        let trace = tap.into_trace();
+        let flows = FlowReassembler::reassemble(&trace);
         assert_eq!(flows.len(), 1);
         assert_eq!(flows[0].client_flow, client_flow());
-        assert_eq!(flows[0].upstream.chunks[0].data, b"request");
-        assert_eq!(flows[0].downstream.chunks[0].data, b"response");
+        assert_eq!(flows[0].upstream.chunks[0].to_vec(), b"request");
+        assert_eq!(flows[0].downstream.chunks[0].to_vec(), b"response");
     }
 
     #[test]
@@ -273,11 +276,12 @@ mod tests {
         let mut tap = Tap::new();
         tap.record_segment(SimTime(2), &seg(client_flow(), 1005, b"world"));
         tap.record_segment(SimTime(1), &seg(client_flow(), 1000, b"hello"));
-        let flows = FlowReassembler::reassemble(&tap.into_trace());
+        let trace = tap.into_trace();
+        let flows = FlowReassembler::reassemble(&trace);
         // First captured segment defines offset 0; the earlier-seq one
         // sorts before it in sequence space via unwrap.
         let up = &flows[0].upstream;
-        let all: Vec<u8> = up.chunks.iter().flat_map(|c| c.data.clone()).collect();
+        let all: Vec<u8> = up.chunks.iter().flat_map(|c| c.to_vec()).collect();
         assert_eq!(all, b"helloworld");
     }
 
@@ -287,7 +291,8 @@ mod tests {
         tap.record_segment(SimTime(1), &seg(client_flow(), 0, b"aaaa"));
         // 6 bytes at seq 4..10 never captured.
         tap.record_segment(SimTime(3), &seg(client_flow(), 10, b"bbbb"));
-        let flows = FlowReassembler::reassemble(&tap.into_trace());
+        let trace = tap.into_trace();
+        let flows = FlowReassembler::reassemble(&trace);
         let up = &flows[0].upstream;
         assert_eq!(up.chunks.len(), 2);
         assert_eq!(up.gap_count(), 1);
@@ -297,16 +302,54 @@ mod tests {
     }
 
     #[test]
+    fn time_at_searches_many_gaps() {
+        // 40 chunks of three 5-byte segments each, 7 lost bytes apart.
+        let mut tap = Tap::new();
+        let mut seq = 0u32;
+        for k in 0..40u64 {
+            for s in 0..3u64 {
+                let time = SimTime(100 * k + s);
+                tap.record_segment(time, &seg(client_flow(), seq, b"12345"));
+                seq += 5;
+            }
+            seq += 7;
+        }
+        let trace = tap.into_trace();
+        let flows = FlowReassembler::reassemble(&trace);
+        let up = &flows[0].upstream;
+        assert_eq!(up.chunks.len(), 40);
+        for (k, c) in up.chunks.iter().enumerate() {
+            let k = k as u64;
+            assert_eq!(c.pieces.len(), 3);
+            let (first, last) = (c.start_offset, c.end_offset() - 1);
+            assert_eq!(
+                up.time_at(first),
+                Some(SimTime(100 * k)),
+                "chunk {k} first byte"
+            );
+            assert_eq!(up.time_at(first + 5), Some(SimTime(100 * k + 1)));
+            assert_eq!(
+                up.time_at(last),
+                Some(SimTime(100 * k + 2)),
+                "chunk {k} last byte"
+            );
+            assert_eq!(up.time_at(last + 1), None, "inside the gap after chunk {k}");
+            assert_eq!(up.time_at(last + 7), None, "end of the gap after chunk {k}");
+        }
+    }
+
+    #[test]
     fn captured_retransmission_fills_gap() {
         let mut tap = Tap::new();
         tap.record_segment(SimTime(1), &seg(client_flow(), 0, b"aaaa"));
         tap.record_segment(SimTime(3), &seg(client_flow(), 8, b"cccc"));
         // Retransmission of the missing middle arrives later.
         tap.record_segment(SimTime(9), &seg(client_flow(), 4, b"bbbb"));
-        let flows = FlowReassembler::reassemble(&tap.into_trace());
+        let trace = tap.into_trace();
+        let flows = FlowReassembler::reassemble(&trace);
         let up = &flows[0].upstream;
         assert_eq!(up.chunks.len(), 1);
-        assert_eq!(up.chunks[0].data, b"aaaabbbbcccc");
+        assert_eq!(up.chunks[0].to_vec(), b"aaaabbbbcccc");
         assert_eq!(up.time_at(5), Some(SimTime(9)), "late copy's timestamp");
     }
 
@@ -315,9 +358,10 @@ mod tests {
         let mut tap = Tap::new();
         tap.record_segment(SimTime(1), &seg(client_flow(), 0, b"dup"));
         tap.record_segment(SimTime(5), &seg(client_flow(), 0, b"dup"));
-        let flows = FlowReassembler::reassemble(&tap.into_trace());
+        let trace = tap.into_trace();
+        let flows = FlowReassembler::reassemble(&trace);
         let up = &flows[0].upstream;
-        assert_eq!(up.chunks[0].data, b"dup");
+        assert_eq!(up.chunks[0].to_vec(), b"dup");
         assert_eq!(up.time_at(0), Some(SimTime(1)));
     }
 
@@ -326,8 +370,9 @@ mod tests {
         let mut tap = Tap::new();
         tap.record_segment(SimTime(1), &seg(client_flow(), 0, b"abcdef"));
         tap.record_segment(SimTime(2), &seg(client_flow(), 4, b"efgh"));
-        let flows = FlowReassembler::reassemble(&tap.into_trace());
-        assert_eq!(flows[0].upstream.chunks[0].data, b"abcdefgh");
+        let trace = tap.into_trace();
+        let flows = FlowReassembler::reassemble(&trace);
+        assert_eq!(flows[0].upstream.chunks[0].to_vec(), b"abcdefgh");
     }
 
     #[test]
@@ -339,7 +384,8 @@ mod tests {
         };
         tap.record_segment(SimTime(1), &seg(client_flow(), 0, b"flow-one"));
         tap.record_segment(SimTime(2), &seg(other, 0, b"flow-two"));
-        let flows = FlowReassembler::reassemble(&tap.into_trace());
+        let trace = tap.into_trace();
+        let flows = FlowReassembler::reassemble(&trace);
         assert_eq!(flows.len(), 2);
     }
 }

@@ -28,7 +28,7 @@ pub mod pcap;
 pub mod records;
 pub mod tap;
 
-pub use flow::{Direction, FlowReassembler, FlowStreams, StreamChunk, StreamView};
+pub use flow::{Direction, FlowReassembler, FlowStreams, StreamChunk, StreamPiece, StreamView};
 pub use labels::{LabeledRecord, RecordClass};
 pub use pcap::{
     read_pcap_lossy, LossyPcap, PcapError, PcapPacket, PcapReader, PcapTruncation, PcapWriter,

@@ -8,7 +8,7 @@
 //! whose bytes were partly lost are dropped (and counted) rather than
 //! misreported.
 
-use crate::flow::StreamView;
+use crate::flow::{StreamPiece, StreamView};
 use wm_net::time::SimTime;
 use wm_tls::observer::ObservedRecord;
 use wm_tls::record::{RecordHeader, RECORD_HEADER_LEN};
@@ -49,107 +49,105 @@ pub struct Extraction {
 const RESYNC_CHAIN: usize = 2;
 
 /// Extract every parseable TLS record from one stream direction.
+///
+/// The walk jumps from header to header over the chunks' borrowed
+/// pieces; only a chunk after a gap is copied, for [`find_resync`].
 pub fn extract_records(view: &StreamView) -> Extraction {
     let mut out = Extraction::default();
-    // Partial record spanning a chunk boundary. Consumed bytes are
-    // tracked by the `head` cursor instead of drained per record: the
-    // hot path is then append + parse with no per-record memmove, and
-    // the buffer is compacted only when consumed bytes dominate, so
-    // memory stays bounded by ~2x the live tail.
-    let mut carry: Vec<u8> = Vec::new();
-    let mut head: usize = 0;
-    let mut carry_offset: u64 = 0;
+    let mut walk = HeaderWalk::default();
     let mut prev_end: Option<u64> = None;
 
     for chunk in &view.chunks {
-        let gap = match prev_end {
-            Some(end) if chunk.start_offset > end => true,
-            None => false,
-            _ => false,
-        };
+        let gap = prev_end.is_some_and(|end| chunk.start_offset > end);
+        prev_end = Some(chunk.end_offset());
+        let mut from = chunk.start_offset;
         if gap {
             out.stats.gaps += 1;
-            if let Some(t) = view.time_at(chunk.start_offset) {
-                out.gap_times.push(t);
-            }
-            // The carried partial record can never complete.
-            carry.clear();
-            head = 0;
+            out.gap_times.extend(chunk.pieces.first().map(|p| p.time));
+            // The partial record before the gap can never complete.
+            walk = HeaderWalk::default();
+            let data = chunk.to_vec();
+            let Some(at) = find_resync(&data) else {
+                out.stats.skipped_bytes += data.len() as u64;
+                continue;
+            };
+            out.stats.resyncs += 1;
+            out.stats.skipped_bytes += at as u64;
+            from += at as u64;
         }
-        prev_end = Some(chunk.start_offset + chunk.data.len() as u64);
-
-        if gap {
-            // Resynchronize within this chunk.
-            match find_resync(&chunk.data) {
-                Some(skip) => {
-                    out.stats.resyncs += 1;
-                    out.stats.skipped_bytes += skip as u64;
-                    carry_offset = chunk.start_offset + skip as u64;
-                    carry.extend_from_slice(chunk.data.get(skip..).unwrap_or_default());
-                }
-                None => {
-                    out.stats.skipped_bytes += chunk.data.len() as u64;
-                    continue;
-                }
+        for piece in &chunk.pieces {
+            if let Some(at) = walk.feed(piece, from, &mut out) {
+                // Mid-stream desync should not happen on our own traces;
+                // if it does, drop the rest of this contiguous run.
+                out.stats.skipped_bytes += chunk.end_offset() - at;
+                walk = HeaderWalk::default();
+                break;
             }
-        } else {
-            if head == carry.len() {
-                carry.clear();
-                head = 0;
-            } else if head >= carry.len() - head {
-                carry.copy_within(head.., 0);
-                carry.truncate(carry.len() - head);
-                head = 0;
-            }
-            if carry.is_empty() {
-                carry_offset = chunk.start_offset;
-            }
-            carry.extend_from_slice(&chunk.data);
         }
-        drain_records(view, &mut carry, &mut head, &mut carry_offset, &mut out);
     }
     out
 }
 
-/// Parse complete records out of `carry[head..]`, advancing `head` and
-/// `carry_offset` past each one.
-fn drain_records(
-    view: &StreamView,
-    carry: &mut Vec<u8>,
-    head: &mut usize,
-    carry_offset: &mut u64,
-    out: &mut Extraction,
-) {
-    loop {
-        let live = carry.get(*head..).unwrap_or_default();
-        let Some(header_bytes) = live.first_chunk::<RECORD_HEADER_LEN>() else {
-            return;
-        };
-        let Some(header) = RecordHeader::parse(header_bytes) else {
-            // Mid-stream desync should not happen on our own traces; if
-            // it does, drop the rest of this contiguous run.
-            out.stats.skipped_bytes += live.len() as u64;
-            carry.clear();
-            *head = 0;
-            return;
-        };
-        let total = RECORD_HEADER_LEN + header.length as usize;
-        if live.len() < total {
-            return;
-        }
-        let time = view.time_at(*carry_offset).unwrap_or(SimTime::ZERO);
-        out.records.push(TimedRecord {
-            time,
-            record: ObservedRecord {
-                stream_offset: *carry_offset,
+/// The record-header walk's cursor, carried from piece to piece.
+#[derive(Default)]
+struct HeaderWalk {
+    /// Stream offset and capture time of the current record's first byte.
+    start: (u64, SimTime),
+    /// Header bytes gathered so far.
+    header: [u8; RECORD_HEADER_LEN],
+    have: usize,
+    /// The record whose header is read, and its body bytes not yet seen.
+    pending: Option<(TimedRecord, usize)>,
+}
+
+impl HeaderWalk {
+    /// Walk the bytes of `piece` at or after stream offset `from`,
+    /// emitting each record once its last byte is seen. Returns the
+    /// offset of a header that fails to parse.
+    // wm-lint: hotpath
+    fn feed(&mut self, piece: &StreamPiece, from: u64, out: &mut Extraction) -> Option<u64> {
+        let data = piece.data;
+        let mut pos = (from.saturating_sub(piece.offset) as usize).min(data.len());
+        loop {
+            if let Some((record, body_left)) = &mut self.pending {
+                let take = (*body_left).min(data.len() - pos);
+                pos += take;
+                *body_left -= take;
+                if *body_left > 0 {
+                    return None;
+                }
+                out.records.push(*record);
+                out.stats.records += 1;
+                self.pending = None;
+            }
+            let rest = data.get(pos..).unwrap_or_default();
+            if rest.is_empty() {
+                return None;
+            }
+            if self.have == 0 {
+                self.start = (piece.offset + pos as u64, piece.time);
+            }
+            // Gather the header: it may straddle pieces.
+            let slots = self.header.iter_mut().skip(self.have);
+            let take = slots.zip(rest).map(|(dst, &src)| *dst = src).count();
+            pos += take;
+            self.have += take;
+            if self.have < RECORD_HEADER_LEN {
+                return None;
+            }
+            self.have = 0;
+            let (stream_offset, time) = self.start;
+            let Some(header) = RecordHeader::parse(&self.header) else {
+                return Some(stream_offset);
+            };
+            let record = ObservedRecord {
+                stream_offset,
                 content_type: header.content_type,
                 version: header.version,
                 length: header.length,
-            },
-        });
-        out.stats.records += 1;
-        *head += total;
-        *carry_offset += total as u64;
+            };
+            self.pending = Some((TimedRecord { time, record }, header.length as usize));
+        }
     }
 }
 
@@ -211,14 +209,17 @@ mod tests {
         RecordEngine::client(&SessionKeys::derive(&[9; 32], CipherSuite::Aead))
     }
 
-    fn view_of(chunks: Vec<(u64, Vec<u8>, SimTime)>) -> StreamView {
+    fn view_of<'t>(chunks: &[(u64, &'t [u8], SimTime)]) -> StreamView<'t> {
         StreamView {
             chunks: chunks
-                .into_iter()
-                .map(|(start_offset, data, t)| StreamChunk {
+                .iter()
+                .map(|&(start_offset, data, time)| StreamChunk {
                     start_offset,
-                    marks: vec![(start_offset, t)],
-                    data,
+                    pieces: vec![StreamPiece {
+                        offset: start_offset,
+                        data,
+                        time,
+                    }],
                 })
                 .collect(),
         }
@@ -231,7 +232,7 @@ mod tests {
         for len in [100usize, 2196, 50] {
             wire.extend(eng.seal_payload(ContentType::ApplicationData, &vec![0; len]));
         }
-        let view = view_of(vec![(0, wire, SimTime(77))]);
+        let view = view_of(&[(0, &wire, SimTime(77))]);
         let ex = extract_records(&view);
         assert_eq!(ex.stats.records, 3);
         assert_eq!(ex.stats.gaps, 0);
@@ -245,10 +246,7 @@ mod tests {
         let mut eng = engine();
         let wire = eng.seal_payload(ContentType::ApplicationData, &vec![1; 500]);
         let (a, b) = wire.split_at(200);
-        let view = view_of(vec![
-            (0, a.to_vec(), SimTime(1)),
-            (200, b.to_vec(), SimTime(2)),
-        ]);
+        let view = view_of(&[(0, a, SimTime(1)), (200, b, SimTime(2))]);
         let ex = extract_records(&view);
         assert_eq!(ex.stats.records, 1);
         assert_eq!(ex.records[0].record.length, 516);
@@ -269,7 +267,7 @@ mod tests {
         rest.extend_from_slice(&r4);
         let gap_start = first.len() as u64;
         let resume = (r1.len() + r2.len()) as u64;
-        let view = view_of(vec![(0, first, SimTime(1)), (resume, rest, SimTime(9))]);
+        let view = view_of(&[(0, &first, SimTime(1)), (resume, &rest, SimTime(9))]);
         let ex = extract_records(&view);
         assert_eq!(ex.stats.gaps, 1);
         assert_eq!(ex.stats.resyncs, 1);
@@ -288,9 +286,9 @@ mod tests {
         // The tap missed r1 entirely and the first 100 bytes of r2.
         let mut rest = r2[100..].to_vec();
         rest.extend_from_slice(&r3);
-        let view = view_of(vec![
-            (0, r1[..50].to_vec(), SimTime(1)), // only a shred of r1
-            ((r1.len() + 100) as u64, rest, SimTime(5)),
+        let view = view_of(&[
+            (0, &r1[..50], SimTime(1)), // only a shred of r1
+            ((r1.len() + 100) as u64, &rest, SimTime(5)),
         ]);
         let ex = extract_records(&view);
         // r2's tail is unparseable noise; r3 must be recovered.
@@ -302,9 +300,9 @@ mod tests {
     #[test]
     fn unrecoverable_chunk_counted() {
         // One chunk after a gap containing pure noise.
-        let view = view_of(vec![
-            (0, vec![0u8; 10], SimTime(1)),
-            (100, vec![0xffu8; 64], SimTime(2)),
+        let view = view_of(&[
+            (0, &[0u8; 10], SimTime(1)),
+            (100, &[0xffu8; 64], SimTime(2)),
         ]);
         let ex = extract_records(&view);
         assert_eq!(ex.stats.records, 0);

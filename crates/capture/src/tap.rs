@@ -273,16 +273,15 @@ impl Trace {
     }
 }
 
-/// Convenience: parse every frame of a trace into TCP segments
-/// (frames that fail to parse are skipped — real captures contain noise).
-pub fn segments_of(trace: &Trace) -> Vec<(SimTime, FlowId, wm_net::headers::TcpHeader, Vec<u8>)> {
-    trace
-        .packets
-        .iter()
-        .filter_map(|p| {
-            parse_frame(&p.frame).map(|(flow, tcp, payload)| (p.time, flow, tcp, payload.to_vec()))
-        })
-        .collect()
+/// Convenience: parse every frame of a trace into TCP segments whose
+/// payloads borrow the captured frames (frames that fail to parse are
+/// skipped — real captures contain noise).
+pub fn segments_of(
+    trace: &Trace,
+) -> impl Iterator<Item = (SimTime, FlowId, wm_net::headers::TcpHeader, &[u8])> {
+    trace.packets.iter().filter_map(|p| {
+        parse_frame(&p.frame).map(|(flow, tcp, payload)| (p.time, flow, tcp, payload))
+    })
 }
 
 #[cfg(test)]
@@ -316,7 +315,7 @@ mod tests {
         tap.record_control(SimTime(2_000), &flow(), 1, 0, TcpFlags::SYN);
         let trace = tap.into_trace();
         assert_eq!(trace.len(), 2);
-        let segs = segments_of(&trace);
+        let segs: Vec<_> = segments_of(&trace).collect();
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].3, b"record bytes");
         assert_eq!(segs[1].2.flags, TcpFlags::SYN);
