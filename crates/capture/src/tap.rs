@@ -6,11 +6,10 @@
 //! artifact the attack pipeline consumes.
 
 use crate::pcap::{PcapPacket, PcapReader, PcapWriter};
-use std::sync::Arc;
 use wm_net::headers::{build_frame, parse_frame, FlowId, TcpFlags};
 use wm_net::tcp::TcpSegment;
 use wm_net::time::SimTime;
-use wm_telemetry::{Counter, Registry};
+use wm_telemetry::Registry;
 use wm_trace::{SpanId, TraceHandle};
 
 /// One captured frame.
@@ -120,8 +119,8 @@ impl Trace {
 pub struct Tap {
     trace: Trace,
     next_ip_id: u16,
-    frames_tapped: Option<Arc<Counter>>,
-    bytes_tapped: Option<Arc<Counter>>,
+    /// Frame bytes recorded so far (frames are `trace.packets.len()`).
+    bytes_tapped: u64,
     events: Option<(TraceHandle, SpanId)>,
 }
 
@@ -130,17 +129,20 @@ impl Tap {
         Tap {
             trace: Trace::new(),
             next_ip_id: 1,
-            frames_tapped: None,
-            bytes_tapped: None,
+            bytes_tapped: 0,
             events: None,
         }
     }
 
-    /// Attach telemetry counters `capture.frames_tapped` and
-    /// `capture.bytes_tapped` (observation only).
-    pub fn set_telemetry(&mut self, registry: &Registry) {
-        self.frames_tapped = Some(registry.counter("capture.frames_tapped"));
-        self.bytes_tapped = Some(registry.counter("capture.bytes_tapped"));
+    /// Publish the counters `capture.frames_tapped` and
+    /// `capture.bytes_tapped` into `registry` (observation only).
+    pub fn publish(&self, registry: &Registry) {
+        registry
+            .counter("capture.frames_tapped")
+            .add(self.trace.packets.len() as u64);
+        registry
+            .counter("capture.bytes_tapped")
+            .add(self.bytes_tapped);
     }
 
     /// Attach a causal trace sink: the flow-lifecycle control frames
@@ -166,12 +168,7 @@ impl Tap {
             ip_id,
             &seg.payload,
         );
-        if let Some(c) = &self.frames_tapped {
-            c.inc();
-        }
-        if let Some(c) = &self.bytes_tapped {
-            c.add(frame.len() as u64);
-        }
+        self.bytes_tapped += frame.len() as u64;
         self.trace.packets.push(CapturedPacket { time, frame });
     }
 

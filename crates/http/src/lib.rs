@@ -12,6 +12,7 @@
 //! [`ResponseParser`]) used by the simulated server and player.
 
 use std::fmt;
+use std::io::Write as _;
 
 mod parse;
 
@@ -66,7 +67,7 @@ impl Request {
         }
         if !self.body.is_empty() {
             out.extend_from_slice(b"Content-Length: ");
-            out.extend_from_slice(self.body.len().to_string().as_bytes());
+            push_decimal(&mut out, self.body.len());
             out.extend_from_slice(b"\r\n");
         }
         out.extend_from_slice(b"\r\n");
@@ -76,14 +77,21 @@ impl Request {
 
     /// Exact length of [`Request::to_bytes`].
     pub fn serialized_len(&self) -> usize {
+        self.serialized_len_with_body(self.body.len())
+    }
+
+    /// Exact length of [`Request::to_bytes`] once a body of `body_len`
+    /// bytes replaces the current one (sizing a body to a wire target
+    /// without building it).
+    pub fn serialized_len_with_body(&self, body_len: usize) -> usize {
         let mut n = self.method.len() + 1 + self.path.len() + 11; // " HTTP/1.1\r\n"
         for (name, value) in &self.headers {
             n += name.len() + 2 + value.len() + 2;
         }
-        if !self.body.is_empty() {
-            n += 16 + dec_len(self.body.len()) + 2; // "Content-Length: …\r\n"
+        if body_len > 0 {
+            n += 16 + dec_len(body_len) + 2; // "Content-Length: …\r\n"
         }
-        n + 2 + self.body.len()
+        n + 2 + body_len
     }
 
     /// Look up a header value (case-insensitive name match).
@@ -134,7 +142,7 @@ impl Response {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128 + self.body.len());
         out.extend_from_slice(b"HTTP/1.1 ");
-        out.extend_from_slice(self.status.to_string().as_bytes());
+        push_decimal(&mut out, self.status as usize);
         out.push(b' ');
         out.extend_from_slice(self.reason.as_bytes());
         out.extend_from_slice(b"\r\n");
@@ -145,7 +153,7 @@ impl Response {
             out.extend_from_slice(b"\r\n");
         }
         out.extend_from_slice(b"Content-Length: ");
-        out.extend_from_slice(self.body.len().to_string().as_bytes());
+        push_decimal(&mut out, self.body.len());
         out.extend_from_slice(b"\r\n\r\n");
         out.extend_from_slice(&self.body);
         out
@@ -169,6 +177,12 @@ impl fmt::Display for Request {
             self.body.len()
         )
     }
+}
+
+/// Append the decimal digits of `v` (no intermediate `String`).
+fn push_decimal(out: &mut Vec<u8>, v: usize) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{v}");
 }
 
 fn dec_len(mut v: usize) -> usize {

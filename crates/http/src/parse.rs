@@ -50,127 +50,270 @@ pub enum ParsePhase {
     Body,
 }
 
+/// A message kind the accumulator frames: built from its start line,
+/// then given its headers and body.
+trait Message: Sized {
+    /// Parse the start line (`Err` is the message's parse error).
+    fn from_start_line(line: &str) -> Result<Self, ParseError>;
+    fn set_headers(&mut self, headers: Vec<(String, String)>);
+    fn set_body(&mut self, body: Vec<u8>);
+}
+
+impl Message for Request {
+    fn from_start_line(line: &str) -> Result<Self, ParseError> {
+        let mut parts = line.split(' ');
+        let method = parts.next().unwrap_or("");
+        let path = parts.next().unwrap_or("");
+        let version = parts.next().unwrap_or("");
+        if method.is_empty() || path.is_empty() || !version.starts_with("HTTP/1.") {
+            return Err(ParseError::MalformedRequestLine(line.to_owned()));
+        }
+        Ok(Request::new(method, path))
+    }
+
+    fn set_headers(&mut self, headers: Vec<(String, String)>) {
+        self.headers = headers;
+    }
+
+    fn set_body(&mut self, body: Vec<u8>) {
+        self.body = body;
+    }
+}
+
+impl Message for Response {
+    fn from_start_line(line: &str) -> Result<Self, ParseError> {
+        let mut parts = line.splitn(3, ' ');
+        let version = parts.next().unwrap_or("");
+        let status: u16 = parts
+            .next()
+            .unwrap_or("")
+            .parse()
+            .map_err(|_| ParseError::BadStatusLine(line.to_owned()))?;
+        let reason = parts.next().unwrap_or("");
+        if !version.starts_with("HTTP/1.") {
+            return Err(ParseError::BadStatusLine(line.to_owned()));
+        }
+        Ok(Response::new(status, reason))
+    }
+
+    fn set_headers(&mut self, headers: Vec<(String, String)>) {
+        self.headers = headers;
+    }
+
+    fn set_body(&mut self, body: Vec<u8>) {
+        self.body = body;
+    }
+}
+
+/// Bodies are preallocated up to this many bytes; a larger
+/// (peer-supplied) `Content-Length` grows the buffer as bytes arrive.
+const MAX_BODY_PREALLOC: usize = 1 << 20;
+
 /// Generic head-then-body accumulator shared by both parsers.
-struct Accumulator {
+///
+/// Errors come in two tiers, as the framing requires. A head that is
+/// not UTF-8 or has a bad `Content-Length` cannot be framed: the feed
+/// stops there and returns the error, dropping the rest of its bytes.
+/// A bad start line or header line still frames (its body is consumed),
+/// so it is carried as that message's `Err` and reported by the parser
+/// after the whole feed is framed.
+struct Accumulator<M> {
+    /// Head bytes of a message whose `\r\n\r\n` has not arrived yet.
     buf: Vec<u8>,
-    phase: ParsePhase,
-    /// Parsed head lines (start line + headers) once phase is Body.
-    head: Vec<String>,
+    /// The message whose body is being accumulated (`None` while
+    /// reading a head).
+    pending: Option<Result<M, ParseError>>,
     body_remaining: usize,
     body: Vec<u8>,
 }
 
-impl Accumulator {
+impl<M: Message> Accumulator<M> {
     fn new() -> Self {
         Accumulator {
             buf: Vec::new(),
-            phase: ParsePhase::Headers,
-            head: Vec::new(),
+            pending: None,
             body_remaining: 0,
             body: Vec::new(),
         }
     }
 
-    /// Feed bytes; returns `Some((head_lines, body))` per complete
-    /// message. Returns `Err` on malformed heads.
+    /// Feed bytes, appending every message they complete to `out`.
     fn feed(
         &mut self,
         mut bytes: &[u8],
-        out: &mut Vec<(Vec<String>, Vec<u8>)>,
+        out: &mut Vec<Result<M, ParseError>>,
     ) -> Result<(), ParseError> {
-        while !bytes.is_empty() {
-            match self.phase {
-                ParsePhase::Headers => {
+        loop {
+            if self.pending.is_some() {
+                let take = bytes.len().min(self.body_remaining);
+                let (chunk, rest) = bytes.split_at_checked(take).unwrap_or((bytes, &[]));
+                self.body.extend_from_slice(chunk);
+                self.body_remaining -= chunk.len();
+                bytes = rest;
+                if self.body_remaining > 0 {
+                    return Ok(());
+                }
+                self.complete(out);
+            }
+            if bytes.is_empty() {
+                return Ok(());
+            }
+            if self.buf.is_empty() {
+                // Nothing buffered: parse the head in place.
+                let Some(end) = find_double_crlf(bytes) else {
                     self.buf.extend_from_slice(bytes);
-                    bytes = &[];
-                    if let Some(end) = find_double_crlf(&self.buf) {
-                        let head_bytes = self.buf.get(..end).unwrap_or_default().to_vec();
-                        let rest = self.buf.get(end + 4..).unwrap_or_default().to_vec();
-                        self.buf.clear();
-                        let head_text =
-                            String::from_utf8(head_bytes).map_err(|_| ParseError::NonUtf8Head)?;
-                        self.head = head_text.split("\r\n").map(str::to_owned).collect();
-                        self.body_remaining = content_length(&self.head)?;
-                        self.body = Vec::with_capacity(self.body_remaining);
-                        self.phase = ParsePhase::Body;
-                        // Re-feed what followed the head.
-                        self.feed(&rest, out)?;
-                    }
-                }
-                ParsePhase::Body => {
-                    let take = bytes.len().min(self.body_remaining);
-                    let (chunk, rest) = bytes.split_at_checked(take).unwrap_or((bytes, &[]));
-                    self.body.extend_from_slice(chunk);
-                    self.body_remaining -= chunk.len();
-                    bytes = rest;
-                    if self.body_remaining == 0 {
-                        out.push((
-                            std::mem::take(&mut self.head),
-                            std::mem::take(&mut self.body),
-                        ));
-                        self.phase = ParsePhase::Headers;
-                    }
-                }
+                    return Ok(());
+                };
+                let (head, rest) = bytes.split_at(end);
+                bytes = rest.get(4..).unwrap_or_default();
+                self.begin(parse_head(head)?);
+            } else {
+                // A head begun by an earlier feed: only the new bytes
+                // (and the three before them) can complete it.
+                let Some((head_end, rest)) = self.find_buffered_head_end(bytes) else {
+                    self.buf.extend_from_slice(bytes);
+                    return Ok(());
+                };
+                bytes = rest;
+                let parsed = parse_head(self.buf.get(..head_end).unwrap_or_default());
+                self.buf.clear();
+                self.begin(parsed?);
+            }
+            if self.body_remaining == 0 {
+                // Zero-length bodies complete without further bytes.
+                self.complete(out);
             }
         }
-        // Zero-length bodies complete immediately even with no trailing bytes.
-        if self.phase == ParsePhase::Body && self.body_remaining == 0 {
-            out.push((
-                std::mem::take(&mut self.head),
-                std::mem::take(&mut self.body),
-            ));
-            self.phase = ParsePhase::Headers;
+    }
+
+    /// Complete a head buffered across feeds with the new `bytes`:
+    /// appends the rest of the head to `buf` and returns the head's
+    /// length there plus the bytes that follow the `\r\n\r\n`.
+    fn find_buffered_head_end<'b>(&mut self, bytes: &'b [u8]) -> Option<(usize, &'b [u8])> {
+        // The terminator may start in the last three buffered bytes
+        // (`buf` itself holds none); earlier starts win.
+        for k in (1..=3).rev() {
+            let (in_buf, in_bytes) = CRLF2.split_at(k);
+            if self.buf.ends_with(in_buf) && bytes.starts_with(in_bytes) {
+                let head_end = self.buf.len() - k;
+                return Some((head_end, bytes.get(4 - k..).unwrap_or_default()));
+            }
         }
-        Ok(())
+        let end = find_double_crlf(bytes)?;
+        self.buf
+            .extend_from_slice(bytes.get(..end).unwrap_or_default());
+        Some((self.buf.len(), bytes.get(end + 4..).unwrap_or_default()))
+    }
+
+    /// Enter the body phase of a parsed head.
+    fn begin(&mut self, (message, length): (Result<M, ParseError>, usize)) {
+        self.body_remaining = length;
+        self.body = Vec::with_capacity(length.min(MAX_BODY_PREALLOC));
+        self.pending = Some(message);
+    }
+
+    /// The pending message's body is complete: emit it.
+    fn complete(&mut self, out: &mut Vec<Result<M, ParseError>>) {
+        let body = std::mem::take(&mut self.body);
+        if let Some(message) = self.pending.take() {
+            out.push(message.map(|mut m| {
+                m.set_body(body);
+                m
+            }));
+        }
     }
 
     fn phase(&self) -> ParsePhase {
-        self.phase
-    }
-}
-
-fn find_double_crlf(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-/// The head lines after the start line (empty when the head is empty).
-fn header_lines(head: &[String]) -> &[String] {
-    head.get(1..).unwrap_or_default()
-}
-
-/// The start line of a head block (`""` when the head is empty).
-fn start_line(head: &[String]) -> &str {
-    head.first().map(String::as_str).unwrap_or_default()
-}
-
-fn content_length(head: &[String]) -> Result<usize, ParseError> {
-    for line in header_lines(head) {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                return value
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|_| ParseError::BadContentLength(value.trim().to_owned()));
-            }
+        if self.pending.is_some() {
+            ParsePhase::Body
+        } else {
+            ParsePhase::Headers
         }
     }
-    Ok(0)
 }
 
-fn split_headers(head: &[String]) -> Result<Vec<(String, String)>, ParseError> {
-    header_lines(head)
-        .iter()
-        .map(|line| {
-            line.split_once(':')
-                .map(|(n, v)| (n.trim().to_owned(), v.trim().to_owned()))
-                .ok_or_else(|| ParseError::MalformedHeaderLine(line.clone()))
-        })
-        .collect()
+/// Parse a complete head into its message and body length. The outer
+/// `Err` is for heads that cannot be framed (see [`Accumulator`]).
+fn parse_head<M: Message>(head: &[u8]) -> Result<(Result<M, ParseError>, usize), ParseError> {
+    let head = std::str::from_utf8(head).map_err(|_| ParseError::NonUtf8Head)?;
+    let mut lines = CrlfLines(Some(head));
+    let start = lines.next().unwrap_or_default();
+    let mut headers = Vec::with_capacity(head.bytes().filter(|&b| b == b'\n').count());
+    let mut malformed = None;
+    let mut length = None;
+    for line in lines {
+        let Some((name, value)) = line.split_once(':') else {
+            malformed.get_or_insert_with(|| ParseError::MalformedHeaderLine(line.to_owned()));
+            continue;
+        };
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            // The first Content-Length frames the body; the builders
+            // re-add it on serialization, so it is not kept.
+            if length.is_none() {
+                let parsed = value.parse::<usize>();
+                length = Some(parsed.map_err(|_| ParseError::BadContentLength(value.to_owned()))?);
+            }
+        } else if malformed.is_none() {
+            headers.push((name.to_owned(), value.to_owned()));
+        }
+    }
+    let message = M::from_start_line(start).and_then(|mut m| match malformed {
+        Some(e) => Err(e),
+        None => {
+            m.set_headers(headers);
+            Ok(m)
+        }
+    });
+    Ok((message, length.unwrap_or(0)))
+}
+
+const CRLF2: &[u8; 4] = b"\r\n\r\n";
+
+/// Offset of the first `\r\n\r\n` in `buf`.
+fn find_double_crlf(buf: &[u8]) -> Option<usize> {
+    let mut at = 0;
+    while let Some(&last) = buf.get(at + 3) {
+        if last != b'\r' && last != b'\n' {
+            // No match can cover a byte outside the terminator's
+            // alphabet, so none starts at `at..=at + 3`.
+            at += 4;
+        } else if buf.get(at..at + 4) == Some(CRLF2) {
+            return Some(at);
+        } else {
+            at += 1;
+        }
+    }
+    None
+}
+
+/// `str::split("\r\n")` without the substring searcher's setup cost.
+struct CrlfLines<'a>(Option<&'a str>);
+
+impl<'a> Iterator for CrlfLines<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let text = self.0?;
+        let bytes = text.as_bytes();
+        let mut from = 0;
+        while let Some(cr) = bytes.get(from..)?.iter().position(|&b| b == b'\r') {
+            let at = from + cr;
+            if bytes.get(at + 1) == Some(&b'\n') {
+                // `\r\n` is ASCII, so both cuts are char boundaries.
+                self.0 = text.get(at + 2..);
+                return text.get(..at);
+            }
+            from = at + 1;
+        }
+        self.0 = None;
+        Some(text)
+    }
 }
 
 /// Incremental request parser (server side).
 pub struct RequestParser {
-    acc: Accumulator,
+    acc: Accumulator<Request>,
 }
 
 impl RequestParser {
@@ -187,27 +330,9 @@ impl RequestParser {
 
     /// Feed stream bytes; returns the requests completed by this feed.
     pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Request>, ParseError> {
-        let mut raw = Vec::new();
-        self.acc.feed(bytes, &mut raw)?;
-        raw.into_iter()
-            .map(|(head, body)| {
-                let mut parts = start_line(&head).split(' ');
-                let method = parts.next().unwrap_or("").to_owned();
-                let path = parts.next().unwrap_or("").to_owned();
-                let version = parts.next().unwrap_or("");
-                if method.is_empty() || path.is_empty() || !version.starts_with("HTTP/1.") {
-                    return Err(ParseError::MalformedRequestLine(
-                        start_line(&head).to_owned(),
-                    ));
-                }
-                Ok(Request {
-                    method,
-                    path,
-                    headers: strip_content_length(split_headers(&head)?),
-                    body,
-                })
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.acc.feed(bytes, &mut out)?;
+        out.into_iter().collect()
     }
 }
 
@@ -219,7 +344,7 @@ impl Default for RequestParser {
 
 /// Incremental response parser (client side).
 pub struct ResponseParser {
-    acc: Accumulator,
+    acc: Accumulator<Response>,
 }
 
 impl ResponseParser {
@@ -235,29 +360,9 @@ impl ResponseParser {
 
     /// Feed stream bytes; returns the responses completed by this feed.
     pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Response>, ParseError> {
-        let mut raw = Vec::new();
-        self.acc.feed(bytes, &mut raw)?;
-        raw.into_iter()
-            .map(|(head, body)| {
-                let mut parts = start_line(&head).splitn(3, ' ');
-                let version = parts.next().unwrap_or("");
-                let status: u16 = parts
-                    .next()
-                    .unwrap_or("")
-                    .parse()
-                    .map_err(|_| ParseError::BadStatusLine(start_line(&head).to_owned()))?;
-                let reason = parts.next().unwrap_or("").to_owned();
-                if !version.starts_with("HTTP/1.") {
-                    return Err(ParseError::BadStatusLine(start_line(&head).to_owned()));
-                }
-                Ok(Response {
-                    status,
-                    reason,
-                    headers: strip_content_length(split_headers(&head)?),
-                    body,
-                })
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.acc.feed(bytes, &mut out)?;
+        out.into_iter().collect()
     }
 }
 
@@ -265,15 +370,6 @@ impl Default for ResponseParser {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// The builders re-add Content-Length on serialization; strip it on
-/// parse so `parse(serialize(m)) == m`.
-fn strip_content_length(headers: Vec<(String, String)>) -> Vec<(String, String)> {
-    headers
-        .into_iter()
-        .filter(|(n, _)| !n.eq_ignore_ascii_case("content-length"))
-        .collect()
 }
 
 #[cfg(test)]

@@ -49,58 +49,62 @@ const HEX: &[u8; 16] = b"0123456789abcdef";
 
 /// Decode an escaped string body (the bytes between the quotes).
 ///
-/// Returns `None` on malformed escapes. Surrogate-pair `\uXXXX` escapes
-/// for non-BMP characters are supported because the parser must accept
-/// anything the serializer — or a hand-written test vector — produces.
+/// Returns `None` on malformed escapes or a body that is not valid
+/// UTF-8. Surrogate-pair `\uXXXX` escapes for non-BMP characters are
+/// supported because the parser must accept anything the serializer —
+/// or a hand-written test vector — produces.
+///
+/// Linear: the body is validated once (every escape byte is ASCII, so a
+/// valid body splits into valid runs at each backslash), then the plain
+/// runs between escapes are copied whole.
 pub fn unescape(body: &[u8]) -> Option<String> {
+    let text = std::str::from_utf8(body).ok()?;
     let mut out = String::with_capacity(body.len());
-    let mut i = 0;
-    while let Some(&b) = body.get(i) {
-        if b != b'\\' {
-            // Validate UTF-8 incrementally by slicing at char boundaries.
-            let rest = std::str::from_utf8(body.get(i..)?).ok()?;
-            let ch = rest.chars().next()?;
-            out.push(ch);
-            i += ch.len_utf8();
-            continue;
-        }
-        i += 1;
-        let esc = *body.get(i)?;
-        i += 1;
-        match esc {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{8}'),
-            b't' => out.push('\t'),
-            b'n' => out.push('\n'),
-            b'f' => out.push('\u{c}'),
-            b'r' => out.push('\r'),
-            b'u' => {
-                let hi = parse_hex4(body.get(i..i + 4)?)?;
-                i += 4;
-                if (0xd800..0xdc00).contains(&hi) {
-                    // High surrogate: must be followed by \uXXXX low surrogate.
-                    if body.get(i) != Some(&b'\\') || body.get(i + 1) != Some(&b'u') {
-                        return None;
-                    }
-                    let lo = parse_hex4(body.get(i + 2..i + 6)?)?;
-                    i += 6;
-                    if !(0xdc00..0xe000).contains(&lo) {
-                        return None;
-                    }
-                    let cp = 0x10000 + (((hi - 0xd800) as u32) << 10) + (lo - 0xdc00) as u32;
-                    out.push(char::from_u32(cp)?);
-                } else if (0xdc00..0xe000).contains(&hi) {
-                    return None; // lone low surrogate
-                } else {
-                    out.push(char::from_u32(hi as u32)?);
-                }
-            }
+    let mut rest = text;
+    while let Some(at) = rest.find('\\') {
+        let (plain, tail) = rest.split_at(at);
+        out.push_str(plain);
+        let esc = tail.as_bytes();
+        let (ch, used) = match *esc.get(1)? {
+            b'"' => ('"', 2),
+            b'\\' => ('\\', 2),
+            b'/' => ('/', 2),
+            b'b' => ('\u{8}', 2),
+            b't' => ('\t', 2),
+            b'n' => ('\n', 2),
+            b'f' => ('\u{c}', 2),
+            b'r' => ('\r', 2),
+            b'u' => unicode_escape(esc)?,
             _ => return None,
-        }
+        };
+        out.push(ch);
+        // Every escape is ASCII, so `used` lands on a char boundary.
+        rest = tail.get(used..)?;
     }
+    out.push_str(rest);
     Some(out)
+}
+
+/// Decode the `\uXXXX` escape (or surrogate pair) at the front of
+/// `esc`, returning the character and the bytes it spans.
+fn unicode_escape(esc: &[u8]) -> Option<(char, usize)> {
+    let hi = parse_hex4(esc.get(2..6)?)?;
+    if (0xd800..0xdc00).contains(&hi) {
+        // High surrogate: must be followed by \uXXXX low surrogate.
+        if esc.get(6..8)? != b"\\u" {
+            return None;
+        }
+        let lo = parse_hex4(esc.get(8..12)?)?;
+        if !(0xdc00..0xe000).contains(&lo) {
+            return None;
+        }
+        let cp = 0x10000 + (((hi - 0xd800) as u32) << 10) + (lo - 0xdc00) as u32;
+        Some((char::from_u32(cp)?, 12))
+    } else if (0xdc00..0xe000).contains(&hi) {
+        None // lone low surrogate
+    } else {
+        Some((char::from_u32(hi as u32)?, 6))
+    }
 }
 
 fn parse_hex4(bytes: &[u8]) -> Option<u16> {

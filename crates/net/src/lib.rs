@@ -34,7 +34,7 @@ pub mod time;
 
 pub use conditions::{ConnectionType, LinkConditions, TimeOfDay};
 pub use headers::{FlowId, Ipv4Header, TcpFlags, TcpHeader};
-pub use link::{Link, LinkParams, LinkTelemetry};
+pub use link::{Link, LinkParams, LinkStats};
 pub use queue::{Event, EventQueue, PeerId, TimerKind};
 pub use rng::SimRng;
 pub use tcp::{TcpEndpoint, TcpSegment, MSS};

@@ -11,8 +11,7 @@
 
 use crate::rng::SimRng;
 use crate::time::{Duration, SimTime};
-use std::sync::Arc;
-use wm_telemetry::{Counter, Histogram, Registry};
+use wm_telemetry::{LocalHistogram, Registry};
 use wm_trace::{SpanId, TraceHandle};
 
 /// Parameters of one link direction.
@@ -54,27 +53,35 @@ pub struct Transit {
     pub arrives_at: Option<SimTime>,
 }
 
-/// Per-direction link telemetry handles (see `wm-telemetry`).
+/// Per-direction link counts, kept in plain fields by the link and
+/// published into a `wm-telemetry` registry by its owner.
 ///
 /// `queue_wait_us` is the serialization-queue backlog each packet sat
 /// behind before occupying the link — the discrete-event analogue of
 /// instantaneous queue depth.
-pub struct LinkTelemetry {
-    delivered: Arc<Counter>,
-    lost: Arc<Counter>,
-    tap_lost: Arc<Counter>,
-    queue_wait_us: Arc<Histogram>,
+#[derive(Debug, Clone, Default)]
+pub struct LinkStats {
+    pub delivered: u64,
+    pub lost: u64,
+    pub tap_lost: u64,
+    pub queue_wait_us: LocalHistogram,
 }
 
-impl LinkTelemetry {
-    /// Register this direction's metrics under `net.link.<label>.*`.
-    pub fn register(registry: &Registry, label: &str) -> Self {
-        LinkTelemetry {
-            delivered: registry.counter(&format!("net.link.{label}.delivered")),
-            lost: registry.counter(&format!("net.link.{label}.lost")),
-            tap_lost: registry.counter(&format!("net.link.{label}.tap_lost")),
-            queue_wait_us: registry.histogram(&format!("net.link.{label}.queue_wait_us")),
+impl LinkStats {
+    /// Publish into `registry` under `net.link.<label>.*`.
+    pub fn publish(&self, registry: &Registry, label: &str) {
+        for (name, value) in [
+            ("delivered", self.delivered),
+            ("lost", self.lost),
+            ("tap_lost", self.tap_lost),
+        ] {
+            registry
+                .counter(&format!("net.link.{label}.{name}"))
+                .add(value);
         }
+        registry
+            .histogram(&format!("net.link.{label}.queue_wait_us"))
+            .absorb(&self.queue_wait_us);
     }
 }
 
@@ -82,7 +89,7 @@ impl LinkTelemetry {
 pub struct Link {
     params: LinkParams,
     busy_until: SimTime,
-    telemetry: Option<LinkTelemetry>,
+    stats: LinkStats,
     trace: Option<(TraceHandle, SpanId)>,
 }
 
@@ -91,15 +98,15 @@ impl Link {
         Link {
             params,
             busy_until: SimTime::ZERO,
-            telemetry: None,
+            stats: LinkStats::default(),
             trace: None,
         }
     }
 
-    /// Attach telemetry handles (observation only; never changes
-    /// packet outcomes).
-    pub fn set_telemetry(&mut self, telemetry: LinkTelemetry) {
-        self.telemetry = Some(telemetry);
+    /// Outcome counts so far (observation only; counting never
+    /// changes packet outcomes).
+    pub fn stats(&self) -> &LinkStats {
+        &self.stats
     }
 
     /// Attach a trace sink: path losses and tap misses are recorded as
@@ -128,16 +135,13 @@ impl Link {
         let start = now.max(self.busy_until);
         let tx_done = start + ser;
         self.busy_until = tx_done;
-        if let Some(t) = &self.telemetry {
-            t.queue_wait_us
-                .record(start.micros().saturating_sub(now.micros()));
-        }
+        self.stats
+            .queue_wait_us
+            .record(start.micros().saturating_sub(now.micros()));
 
         // The tap sees the packet as it leaves the access port.
         let tap_at = if rng.chance(self.params.tap_loss_prob) {
-            if let Some(t) = &self.telemetry {
-                t.tap_lost.inc();
-            }
+            self.stats.tap_lost += 1;
             if let Some((h, span)) = &self.trace {
                 h.instant_at(
                     tx_done.micros(),
@@ -153,9 +157,7 @@ impl Link {
         };
 
         if rng.chance(self.params.loss_prob) {
-            if let Some(t) = &self.telemetry {
-                t.lost.inc();
-            }
+            self.stats.lost += 1;
             if let Some((h, span)) = &self.trace {
                 h.instant_at(tx_done.micros(), *span, "net.link.lost", wire_len as u64, 0);
             }
@@ -164,9 +166,7 @@ impl Link {
                 arrives_at: None,
             };
         }
-        if let Some(t) = &self.telemetry {
-            t.delivered.inc();
-        }
+        self.stats.delivered += 1;
         let jitter = if self.params.jitter_std == Duration::ZERO {
             Duration::ZERO
         } else {
@@ -259,13 +259,11 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_outcomes() {
+    fn stats_count_outcomes() {
         let mut params = LinkParams::ideal();
         params.loss_prob = 0.3;
         params.tap_loss_prob = 0.2;
         let mut link = Link::new(params);
-        let reg = Registry::new();
-        link.set_telemetry(LinkTelemetry::register(&reg, "up"));
         let mut rng = SimRng::new(21);
         let n = 5_000u64;
         let mut delivered = 0u64;
@@ -275,6 +273,8 @@ mod tests {
             delivered += t.arrives_at.is_some() as u64;
             tapped += t.tap_at.is_some() as u64;
         }
+        let reg = Registry::new();
+        link.stats().publish(&reg, "up");
         let snap = reg.snapshot();
         assert_eq!(snap.counters["net.link.up.delivered"], delivered);
         assert_eq!(snap.counters["net.link.up.lost"], n - delivered);
@@ -287,25 +287,6 @@ mod tests {
                 .unwrap_or(0)
                 > 0
         );
-    }
-
-    #[test]
-    fn telemetry_does_not_change_outcomes() {
-        let mut params = LinkParams::ideal();
-        params.loss_prob = 0.1;
-        params.jitter_std = Duration::from_micros(300);
-        let run = |with_telemetry: bool| -> Vec<Transit> {
-            let mut link = Link::new(params);
-            let reg = Registry::new();
-            if with_telemetry {
-                link.set_telemetry(LinkTelemetry::register(&reg, "x"));
-            }
-            let mut rng = SimRng::new(77);
-            (0..500)
-                .map(|i| link.transmit(SimTime(i * 10), 500, &mut rng))
-                .collect()
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -53,8 +53,10 @@ pub struct TcpActions {
     pub to_send: Vec<TcpSegment>,
 }
 
+/// One unacknowledged segment. Its bytes stay in the send buffer, so
+/// this records only where it starts (the map key) and how long it is.
 struct Inflight {
-    payload: Vec<u8>,
+    len: usize,
     retransmitted: bool,
 }
 
@@ -69,7 +71,12 @@ pub struct TcpEndpoint {
     snd_una: u64,
     /// Next expected absolute receive offset.
     rcv_nxt: u64,
+    /// Every written byte not yet released by an ACK: the unacked
+    /// segments (retransmissions copy from here), then the unsent tail.
     send_buf: VecDeque<u8>,
+    /// Absolute stream offset of `send_buf[0]`: the start of the oldest
+    /// unacked segment, or `snd_nxt` when nothing is in flight.
+    send_base: u64,
     inflight: BTreeMap<u64, Inflight>,
     reasm: BTreeMap<u64, Vec<u8>>,
     rto: Duration,
@@ -99,6 +106,7 @@ impl TcpEndpoint {
             snd_una: 0,
             rcv_nxt: 0,
             send_buf: VecDeque::new(),
+            send_base: 0,
             inflight: BTreeMap::new(),
             reasm: BTreeMap::new(),
             rto: INITIAL_RTO,
@@ -119,7 +127,27 @@ impl TcpEndpoint {
 
     /// Bytes accepted but not yet acknowledged by the peer.
     pub fn outstanding(&self) -> usize {
-        self.send_buf.len() + (self.snd_nxt - self.snd_una) as usize
+        self.unsent() + (self.snd_nxt - self.snd_una) as usize
+    }
+
+    /// Written bytes not yet segmentized.
+    fn unsent(&self) -> usize {
+        (self.send_base + self.send_buf.len() as u64 - self.snd_nxt) as usize
+    }
+
+    /// Copy `len` buffered bytes starting at absolute offset `abs`.
+    fn copy_out(&self, abs: u64, len: usize) -> Vec<u8> {
+        let start = (abs - self.send_base) as usize;
+        let (front, back) = self.send_buf.as_slices();
+        let mut out = Vec::with_capacity(len);
+        if start < front.len() {
+            let end = (start + len).min(front.len());
+            out.extend_from_slice(front.get(start..end).unwrap_or_default());
+        }
+        let from_back = start.saturating_sub(front.len());
+        let rest = len - out.len();
+        out.extend_from_slice(back.get(from_back..from_back + rest).unwrap_or_default());
+        out
     }
 
     /// Whether every written byte has been acknowledged.
@@ -139,32 +167,29 @@ impl TcpEndpoint {
     /// write-coalescing real stacks exhibit.
     pub fn flush(&mut self, now: SimTime) -> Vec<TcpSegment> {
         let mut out = Vec::new();
-        while !self.send_buf.is_empty()
-            && (self.snd_nxt - self.snd_una) as usize + MSS <= SEND_WINDOW
-        {
-            let take = self.send_buf.len().min(MSS);
-            let payload: Vec<u8> = self.send_buf.drain(..take).collect();
+        while self.unsent() > 0 && (self.snd_nxt - self.snd_una) as usize + MSS <= SEND_WINDOW {
+            let take = self.unsent().min(MSS);
             let abs = self.snd_nxt;
-            self.snd_nxt += payload.len() as u64;
-            self.stats.bytes_sent += payload.len() as u64;
+            let payload = self.copy_out(abs, take);
+            self.snd_nxt += take as u64;
+            self.stats.bytes_sent += take as u64;
             self.stats.segments_sent += 1;
-            let is_last = self.send_buf.is_empty();
             out.push(TcpSegment {
                 flow: self.flow,
                 seq: self.wire_seq(abs),
                 ack: self.wire_ack(),
-                flags: if is_last {
+                flags: if self.unsent() == 0 {
                     TcpFlags::PSH_ACK
                 } else {
                     TcpFlags::ACK
                 },
-                payload: payload.clone(),
+                payload,
                 retransmit: false,
             });
             self.inflight.insert(
                 abs,
                 Inflight {
-                    payload,
+                    len: take,
                     retransmitted: false,
                 },
             );
@@ -182,9 +207,20 @@ impl TcpEndpoint {
         // --- Receive path: payload into the reassembly buffer. ---
         if !seg.payload.is_empty() {
             let abs_seq = unwrap_u32(self.rcv_nxt, seg.seq.wrapping_sub(self.rcv_isn));
-            self.insert_reasm(abs_seq, &seg.payload);
             let before = self.rcv_nxt;
-            self.drain_reasm(&mut actions.delivered);
+            if abs_seq <= self.rcv_nxt && self.reasm.is_empty() {
+                // In order with nothing buffered (the common case):
+                // deliver the new bytes straight from the segment.
+                let fresh = seg
+                    .payload
+                    .get((self.rcv_nxt - abs_seq) as usize..)
+                    .unwrap_or_default();
+                actions.delivered.extend_from_slice(fresh);
+                self.rcv_nxt += fresh.len() as u64;
+            } else {
+                self.insert_reasm(abs_seq, &seg.payload);
+                self.drain_reasm(&mut actions.delivered);
+            }
             if self.rcv_nxt == before && abs_seq + (seg.payload.len() as u64) <= self.rcv_nxt {
                 self.stats.duplicate_segments += 1;
             }
@@ -206,15 +242,16 @@ impl TcpEndpoint {
             if abs_ack > self.snd_una && abs_ack <= self.snd_nxt {
                 self.snd_una = abs_ack;
                 // Drop fully acked inflight segments.
-                let acked: Vec<u64> = self
-                    .inflight
-                    .range(..abs_ack)
-                    .filter(|(off, seg)| *off + seg.payload.len() as u64 <= abs_ack)
-                    .map(|(off, _)| *off)
-                    .collect();
-                for off in acked {
-                    self.inflight.remove(&off);
+                while let Some(entry) = self.inflight.first_entry() {
+                    if *entry.key() + entry.get().len as u64 > abs_ack {
+                        break;
+                    }
+                    entry.remove();
                 }
+                // Release the bytes no unacked segment still covers.
+                let base = self.inflight.keys().next().copied().unwrap_or(self.snd_nxt);
+                self.send_buf.drain(..(base - self.send_base) as usize);
+                self.send_base = base;
                 // Fresh progress: reset the RTO backoff and re-arm.
                 self.rto = INITIAL_RTO;
                 self.rto_deadline = if self.inflight.is_empty() {
@@ -238,6 +275,7 @@ impl TcpEndpoint {
             return Vec::new();
         };
         inflight.retransmitted = true;
+        let len = inflight.len;
         self.stats.retransmissions += 1;
         self.stats.segments_sent += 1;
         let seg = TcpSegment {
@@ -245,7 +283,7 @@ impl TcpEndpoint {
             seq: self.isn.wrapping_add(abs as u32),
             ack: wire_ack,
             flags: TcpFlags::PSH_ACK,
-            payload: inflight.payload.clone(),
+            payload: self.copy_out(abs, len),
             retransmit: true,
         };
         // Exponential backoff.

@@ -20,5 +20,5 @@ pub mod server;
 
 pub use manifest::{ladder_label, Manifest, BITRATE_LADDER, CHUNK_SECS};
 pub use server::{
-    NetflixServer, ServerConfig, ServerTelemetry, StateEventKind, StateLogEntry, STATE_ID_OFFSET,
+    NetflixServer, ServerConfig, ServerStats, StateEventKind, StateLogEntry, STATE_ID_OFFSET,
 };

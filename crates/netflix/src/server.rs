@@ -5,7 +5,7 @@ use std::sync::Arc;
 use wm_http::{Request, Response};
 use wm_json::{parse, Value};
 use wm_story::{ChoicePointId, SegmentId, StoryGraph};
-use wm_telemetry::{Counter, Registry};
+use wm_telemetry::Registry;
 use wm_trace::{SpanId, TraceHandle};
 
 /// Ids in state-report bodies are offset by this constant so they
@@ -45,34 +45,38 @@ pub struct StateLogEntry {
     pub body_len: usize,
 }
 
-/// Server-side telemetry handles (see `wm-telemetry`).
-pub struct ServerTelemetry {
-    requests: Arc<Counter>,
-    chunks_served: Arc<Counter>,
-    chunk_bytes: Arc<Counter>,
-    state_type1: Arc<Counter>,
-    state_type2: Arc<Counter>,
-    dummy_posts: Arc<Counter>,
-    background_posts: Arc<Counter>,
-    rejected: Arc<Counter>,
-    duplicate_posts: Arc<Counter>,
-    deferred_posts: Arc<Counter>,
+/// Server-side counts (see `wm-telemetry`), kept in plain fields by
+/// the server and published by its owner.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerStats {
+    pub requests: u64,
+    pub chunks_served: u64,
+    pub chunk_bytes: u64,
+    pub state_type1: u64,
+    pub state_type2: u64,
+    pub dummy_posts: u64,
+    pub background_posts: u64,
+    pub rejected: u64,
+    pub duplicate_posts: u64,
+    pub deferred_posts: u64,
 }
 
-impl ServerTelemetry {
-    /// Register the server's metrics under `netflix.*`.
-    pub fn register(registry: &Registry) -> Self {
-        ServerTelemetry {
-            requests: registry.counter("netflix.requests"),
-            chunks_served: registry.counter("netflix.chunks_served"),
-            chunk_bytes: registry.counter("netflix.chunk_bytes"),
-            state_type1: registry.counter("netflix.state_posts.type1"),
-            state_type2: registry.counter("netflix.state_posts.type2"),
-            dummy_posts: registry.counter("netflix.state_posts.dummy"),
-            background_posts: registry.counter("netflix.background_posts"),
-            rejected: registry.counter("netflix.rejected"),
-            duplicate_posts: registry.counter("netflix.state_posts.duplicate"),
-            deferred_posts: registry.counter("netflix.state_posts.deferred"),
+impl ServerStats {
+    /// Publish into `registry` under `netflix.*`.
+    pub fn publish(&self, registry: &Registry) {
+        for (name, value) in [
+            ("netflix.requests", self.requests),
+            ("netflix.chunks_served", self.chunks_served),
+            ("netflix.chunk_bytes", self.chunk_bytes),
+            ("netflix.state_posts.type1", self.state_type1),
+            ("netflix.state_posts.type2", self.state_type2),
+            ("netflix.state_posts.dummy", self.dummy_posts),
+            ("netflix.background_posts", self.background_posts),
+            ("netflix.rejected", self.rejected),
+            ("netflix.state_posts.duplicate", self.duplicate_posts),
+            ("netflix.state_posts.deferred", self.deferred_posts),
+        ] {
+            registry.counter(name).add(value);
         }
     }
 }
@@ -82,8 +86,7 @@ pub struct NetflixServer {
     graph: Arc<StoryGraph>,
     manifest: Manifest,
     state_log: Vec<StateLogEntry>,
-    requests_served: u64,
-    telemetry: Option<ServerTelemetry>,
+    stats: ServerStats,
     /// `seq` numbers of state reports already persisted (sorted).
     /// Retried/duplicated POSTs carry the same `seq`; persisting them
     /// once keeps the log idempotent no matter how many copies the
@@ -105,8 +108,7 @@ impl NetflixServer {
             graph,
             manifest,
             state_log: Vec::new(),
-            requests_served: 0,
-            telemetry: None,
+            stats: ServerStats::default(),
             seen_seqs: Vec::new(),
             error_burst: 0,
             retry_after_secs: 1,
@@ -122,10 +124,9 @@ impl NetflixServer {
         self.retry_after_secs = retry_after_secs.max(1);
     }
 
-    /// Attach telemetry handles (observation only; responses are
-    /// unchanged).
-    pub fn set_telemetry(&mut self, telemetry: ServerTelemetry) {
-        self.telemetry = Some(telemetry);
+    /// Counts so far (observation only; responses are unchanged).
+    pub fn stats(&self) -> &ServerStats {
+        &self.stats
     }
 
     /// Attach a trace sink; state-API events are emitted under `span`.
@@ -152,51 +153,40 @@ impl NetflixServer {
 
     /// Total requests handled.
     pub fn requests_served(&self) -> u64 {
-        self.requests_served
+        self.stats.requests
     }
 
     /// Handle one request.
     // wm-lint: response-path
     pub fn handle(&mut self, req: &Request) -> Response {
-        self.requests_served += 1;
-        if let Some(t) = &self.telemetry {
-            t.requests.inc();
-        }
-        let path = req.path.clone();
-        let (route, _query) = path.split_once('?').unwrap_or((path.as_str(), ""));
+        self.stats.requests += 1;
+        let path = req.path.as_str();
+        let (route, _query) = path.split_once('?').unwrap_or((path, ""));
         match (req.method.as_str(), route) {
             ("GET", "/manifest") => self.serve_manifest(),
             ("GET", p) if p.starts_with("/media/") => {
-                let resp = self.serve_chunk(&path);
-                if let Some(t) = &self.telemetry {
-                    if resp.status == 200 {
-                        t.chunks_served.inc();
-                        // wm-lint: allow(defense/length-taint, reason = "server-side byte counter over an already-built chunk body; feeds telemetry, never a wire field")
-                        t.chunk_bytes.add(resp.body.len() as u64);
-                    } else {
-                        t.rejected.inc();
-                    }
+                let resp = self.serve_chunk(path);
+                if resp.status == 200 {
+                    self.stats.chunks_served += 1;
+                    // wm-lint: allow(defense/length-taint, reason = "server-side byte counter over an already-built chunk body; feeds telemetry, never a wire field")
+                    self.stats.chunk_bytes += resp.body.len() as u64;
+                } else {
+                    self.stats.rejected += 1;
                 }
                 resp
             }
             ("POST", "/interact/state") => self.handle_state(req),
             ("POST", "/interact/state-echo") => {
                 // Defense-injected dummy post: acknowledged, not logged.
-                if let Some(t) = &self.telemetry {
-                    t.dummy_posts.inc();
-                }
+                self.stats.dummy_posts += 1;
                 Response::ok().body(b"{\"persisted\":true}".to_vec())
             }
             ("POST", "/log" | "/hb" | "/diag") => {
-                if let Some(t) = &self.telemetry {
-                    t.background_posts.inc();
-                }
+                self.stats.background_posts += 1;
                 Response::ok().body(b"{\"logged\":true}".to_vec())
             }
             _ => {
-                if let Some(t) = &self.telemetry {
-                    t.rejected.inc();
-                }
+                self.stats.rejected += 1;
                 Response::new(404, "Not Found").body(b"{}".to_vec())
             }
         }
@@ -233,9 +223,7 @@ impl NetflixServer {
     fn handle_state(&mut self, req: &Request) -> Response {
         if self.error_burst > 0 {
             self.error_burst -= 1;
-            if let Some(t) = &self.telemetry {
-                t.deferred_posts.inc();
-            }
+            self.stats.deferred_posts += 1;
             self.trace_instant(
                 "netflix.state.deferred",
                 self.retry_after_secs as u64,
@@ -247,18 +235,14 @@ impl NetflixServer {
                 .body(b"{\"error\":\"overloaded\"}".to_vec());
         }
         let Ok(doc) = parse(&req.body) else {
-            if let Some(t) = &self.telemetry {
-                t.rejected.inc();
-            }
+            self.stats.rejected += 1;
             // wm-lint: allow(defense/length-taint, reason = "inbound request length into the ground-truth trace; the client already put it on the wire")
             self.trace_instant("netflix.state.rejected", 400, req.body.len() as u64);
             return Response::new(400, "Bad Request").body(b"{\"error\":\"json\"}".to_vec());
         };
         // wm-lint: allow(defense/length-taint, reason = "schema validation of the inbound body length; decides accept/reject, not a response size")
         let Some(entry) = self.validate_state(&doc, req.body.len()) else {
-            if let Some(t) = &self.telemetry {
-                t.rejected.inc();
-            }
+            self.stats.rejected += 1;
             // wm-lint: allow(defense/length-taint, reason = "inbound request length into the ground-truth trace; the client already put it on the wire")
             self.trace_instant("netflix.state.rejected", 422, req.body.len() as u64);
             return Response::new(422, "Unprocessable").body(b"{\"error\":\"schema\"}".to_vec());
@@ -269,9 +253,7 @@ impl NetflixServer {
         if let Some(seq) = doc.get("seq").and_then(|v| v.as_i64()) {
             match self.seen_seqs.binary_search(&seq) {
                 Ok(_) => {
-                    if let Some(t) = &self.telemetry {
-                        t.duplicate_posts.inc();
-                    }
+                    self.stats.duplicate_posts += 1;
                     // wm-lint: allow(defense/length-taint, reason = "inbound request length into the ground-truth trace; the client already put it on the wire")
                     self.trace_instant("netflix.state.dup", seq as u64, req.body.len() as u64);
                     return Response::ok()
@@ -281,11 +263,9 @@ impl NetflixServer {
                 Err(pos) => self.seen_seqs.insert(pos, seq),
             }
         }
-        if let Some(t) = &self.telemetry {
-            match entry.kind {
-                StateEventKind::Type1 => t.state_type1.inc(),
-                StateEventKind::Type2 => t.state_type2.inc(),
-            }
+        match entry.kind {
+            StateEventKind::Type1 => self.stats.state_type1 += 1,
+            StateEventKind::Type2 => self.stats.state_type2 += 1,
         }
         // a = report kind (1/2) + choice point packed, b = body length
         // — the body length is exactly what the eavesdropper sees

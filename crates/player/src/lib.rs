@@ -31,7 +31,7 @@ pub mod state;
 pub use abr::ThroughputEstimator;
 pub use player::{
     timer_kinds, OutRequest, Player, PlayerActions, PlayerConfig, PlayerFault, PlayerPhase,
-    PlayerTelemetry, RequestKind, TruthEvent,
+    PlayerStats, RequestKind, TruthEvent,
 };
 pub use profile::{Browser, DeviceForm, Os, Profile};
 pub use state::StateJsonBuilder;

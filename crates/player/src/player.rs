@@ -31,7 +31,7 @@ use wm_net::time::{Duration, SimTime};
 use wm_netflix::Manifest;
 use wm_story::ViewerScript;
 use wm_story::{Choice, ChoicePointId, SegmentEnd, SegmentId, StoryGraph};
-use wm_telemetry::{Counter, Histogram, Registry};
+use wm_telemetry::{LocalHistogram, Registry};
 use wm_trace::{SpanId, TraceHandle};
 
 /// Timer kinds owned by the player (the session layer routes them back).
@@ -78,61 +78,69 @@ pub enum RequestKind {
     Diagnostic,
 }
 
-/// Per-player telemetry handles (see `wm-telemetry`): one request
-/// counter per [`RequestKind`] plus a received-chunk counter. All
+/// Per-player counts (see `wm-telemetry`): one request counter per
+/// [`RequestKind`] plus received chunks, retries and rebuffers. All
 /// requests funnel through the `push_request`/`push_state_request`
-/// choke points, so these count every byte source on the wire.
-pub struct PlayerTelemetry {
-    manifest: Arc<Counter>,
-    chunk: Arc<Counter>,
-    state_type1: Arc<Counter>,
-    state_type2: Arc<Counter>,
-    dummy_report: Arc<Counter>,
-    telemetry: Arc<Counter>,
-    heartbeat: Arc<Counter>,
-    diagnostic: Arc<Counter>,
-    split_flushes: Arc<Counter>,
-    chunks_received: Arc<Counter>,
-    retries: Arc<Counter>,
-    duplicate_posts: Arc<Counter>,
-    rebuffers: Arc<Counter>,
-    backoff_delay_us: Arc<Histogram>,
-    rebuffer_time_us: Arc<Histogram>,
+/// choke points, so these count every byte source on the wire. The
+/// player keeps them in plain fields; its owner publishes them.
+#[derive(Debug, Clone, Default)]
+pub struct PlayerStats {
+    pub manifest: u64,
+    pub chunk: u64,
+    pub state_type1: u64,
+    pub state_type2: u64,
+    pub dummy_report: u64,
+    pub telemetry: u64,
+    pub heartbeat: u64,
+    pub diagnostic: u64,
+    pub split_flushes: u64,
+    pub chunks_received: u64,
+    pub retries: u64,
+    pub duplicate_posts: u64,
+    pub rebuffers: u64,
+    pub backoff_delay_us: LocalHistogram,
+    pub rebuffer_time_us: LocalHistogram,
 }
 
-impl PlayerTelemetry {
-    /// Register the player's metrics under `player.*`.
-    pub fn register(registry: &Registry) -> Self {
-        PlayerTelemetry {
-            manifest: registry.counter("player.requests.manifest"),
-            chunk: registry.counter("player.requests.chunk"),
-            state_type1: registry.counter("player.requests.state_type1"),
-            state_type2: registry.counter("player.requests.state_type2"),
-            dummy_report: registry.counter("player.requests.dummy_report"),
-            telemetry: registry.counter("player.requests.telemetry"),
-            heartbeat: registry.counter("player.requests.heartbeat"),
-            diagnostic: registry.counter("player.requests.diagnostic"),
-            split_flushes: registry.counter("player.split_flushes"),
-            chunks_received: registry.counter("player.chunks_received"),
-            retries: registry.counter("player.retries"),
-            duplicate_posts: registry.counter("player.duplicate_posts"),
-            rebuffers: registry.counter("player.rebuffers"),
-            backoff_delay_us: registry.histogram("player.backoff_delay_us"),
-            rebuffer_time_us: registry.histogram("player.rebuffer_time_us"),
+impl PlayerStats {
+    /// Publish into `registry` under `player.*`.
+    pub fn publish(&self, registry: &Registry) {
+        for (name, value) in [
+            ("player.requests.manifest", self.manifest),
+            ("player.requests.chunk", self.chunk),
+            ("player.requests.state_type1", self.state_type1),
+            ("player.requests.state_type2", self.state_type2),
+            ("player.requests.dummy_report", self.dummy_report),
+            ("player.requests.telemetry", self.telemetry),
+            ("player.requests.heartbeat", self.heartbeat),
+            ("player.requests.diagnostic", self.diagnostic),
+            ("player.split_flushes", self.split_flushes),
+            ("player.chunks_received", self.chunks_received),
+            ("player.retries", self.retries),
+            ("player.duplicate_posts", self.duplicate_posts),
+            ("player.rebuffers", self.rebuffers),
+        ] {
+            registry.counter(name).add(value);
         }
+        registry
+            .histogram("player.backoff_delay_us")
+            .absorb(&self.backoff_delay_us);
+        registry
+            .histogram("player.rebuffer_time_us")
+            .absorb(&self.rebuffer_time_us);
     }
 
-    fn count(&self, kind: RequestKind) {
-        match kind {
-            RequestKind::Manifest => self.manifest.inc(),
-            RequestKind::Chunk { .. } => self.chunk.inc(),
-            RequestKind::StateType1 => self.state_type1.inc(),
-            RequestKind::StateType2 => self.state_type2.inc(),
-            RequestKind::DummyReport => self.dummy_report.inc(),
-            RequestKind::Telemetry => self.telemetry.inc(),
-            RequestKind::Heartbeat => self.heartbeat.inc(),
-            RequestKind::Diagnostic => self.diagnostic.inc(),
-        }
+    fn count(&mut self, kind: RequestKind) {
+        *match kind {
+            RequestKind::Manifest => &mut self.manifest,
+            RequestKind::Chunk { .. } => &mut self.chunk,
+            RequestKind::StateType1 => &mut self.state_type1,
+            RequestKind::StateType2 => &mut self.state_type2,
+            RequestKind::DummyReport => &mut self.dummy_report,
+            RequestKind::Telemetry => &mut self.telemetry,
+            RequestKind::Heartbeat => &mut self.heartbeat,
+            RequestKind::Diagnostic => &mut self.diagnostic,
+        } += 1;
     }
 }
 
@@ -332,7 +340,7 @@ pub struct Player {
 
     truth: Vec<TruthEvent>,
     done: bool,
-    telemetry_handles: Option<PlayerTelemetry>,
+    stats: PlayerStats,
     /// Causal trace sink (question display, prefetch, state posts,
     /// retry/backoff, connection loss) under the session span.
     trace: Option<(TraceHandle, SpanId)>,
@@ -378,15 +386,15 @@ impl Player {
             disconnected_at: None,
             truth: Vec::new(),
             done: false,
-            telemetry_handles: None,
+            stats: PlayerStats::default(),
             trace: None,
         }
     }
 
-    /// Attach telemetry handles (observation only; never changes the
+    /// Counts so far (observation only; counting never changes the
     /// request stream — the player's RNG is untouched).
-    pub fn set_telemetry(&mut self, telemetry: PlayerTelemetry) {
-        self.telemetry_handles = Some(telemetry);
+    pub fn stats(&self) -> &PlayerStats {
+        &self.stats
     }
 
     /// Attach a trace sink; player lifecycle events are emitted under
@@ -484,9 +492,7 @@ impl Player {
                 idx,
                 prefetch,
             } => {
-                if let Some(t) = &self.telemetry_handles {
-                    t.chunks_received.inc();
-                }
+                self.stats.chunks_received += 1;
                 self.est
                     .record(resp.body.len(), now.since(sent_at).micros());
                 let m = self.manifest.as_ref().expect("streaming implies manifest");
@@ -938,8 +944,7 @@ impl Player {
             .saturating_sub(base.serialized_len() + 24)
             .max(2);
         for _ in 0..4 {
-            let req = base.clone().body(telemetry_body(body_len));
-            let total = req.serialized_len();
+            let total = base.serialized_len_with_body(body_len);
             if total == plain_target {
                 break;
             }
@@ -957,9 +962,7 @@ impl Player {
         request: Request,
         kind: RequestKind,
     ) {
-        if let Some(t) = &self.telemetry_handles {
-            t.count(kind);
-        }
+        self.stats.count(kind);
         let out = OutRequest {
             request,
             kind,
@@ -983,12 +986,8 @@ impl Player {
     ) {
         let p = self.profile.split_flush_prob() + self.cfg.split_flush_extra;
         let split = self.rng.chance(p);
-        if let Some(t) = &self.telemetry_handles {
-            t.count(kind);
-            if split {
-                t.split_flushes.inc();
-            }
-        }
+        self.stats.count(kind);
+        self.stats.split_flushes += split as u64;
         let track = matches!(kind, RequestKind::StateType1 | RequestKind::StateType2);
         if track {
             if let Some(delay) = self.delay_next_state.take() {
@@ -1005,9 +1004,7 @@ impl Player {
         if track && self.duplicate_next_state {
             self.duplicate_next_state = false;
             copies = 2;
-            if let Some(t) = &self.telemetry_handles {
-                t.duplicate_posts.inc();
-            }
+            self.stats.duplicate_posts += 1;
         }
         self.dispatch_state(actions, now, request, kind, split, copies);
     }
@@ -1091,9 +1088,7 @@ impl Player {
         let secs = (RETRY_BASE_SECS * (1u64 << exp) as f64).min(RETRY_CAP_SECS);
         let jitter = 0.75 + self.rng.unit() * 0.5;
         let d = self.scaled_secs(secs * jitter);
-        if let Some(t) = &self.telemetry_handles {
-            t.backoff_delay_us.record(d.micros());
-        }
+        self.stats.backoff_delay_us.record(d.micros());
         // Stamped from the recorder's shared sim clock (backoff has no
         // `now` parameter); a = attempt, b = chosen delay in sim µs.
         if let Some((h, span)) = &self.trace {
@@ -1157,9 +1152,7 @@ impl Player {
         let kind = front.kind;
         let attempts = front.attempts;
         let request = front.request.clone();
-        if let Some(t) = &self.telemetry_handles {
-            t.retries.inc();
-        }
+        self.stats.retries += 1;
         // a = attempt count so far, b = report kind (1/2).
         self.trace_instant(
             now,
@@ -1229,9 +1222,7 @@ impl Player {
         }
         self.connected = false;
         self.disconnected_at = Some(now);
-        if let Some(t) = &self.telemetry_handles {
-            t.rebuffers.inc();
-        }
+        self.stats.rebuffers += 1;
         // a = requests in flight when the transport died.
         self.trace_instant(now, "player.conn.lost", self.in_flight.len() as u64, 0);
         if self
@@ -1277,8 +1268,10 @@ impl Player {
         }
         self.connected = true;
         let since = self.disconnected_at.take();
-        if let (Some(t), Some(since)) = (&self.telemetry_handles, since) {
-            t.rebuffer_time_us.record(now.since(since).micros());
+        if let Some(since) = since {
+            self.stats
+                .rebuffer_time_us
+                .record(now.since(since).micros());
         }
         // a = unacked reports to replay, b = offline-queued requests.
         self.trace_instant(
@@ -1300,9 +1293,7 @@ impl Player {
                 e.last_sent = now;
                 (e.kind, e.request.clone())
             };
-            if let Some(t) = &self.telemetry_handles {
-                t.retries.inc();
-            }
+            self.stats.retries += 1;
             self.in_flight.push_back((kind, now));
             actions.requests.push(OutRequest {
                 request,
@@ -1324,14 +1315,14 @@ impl Player {
     }
 }
 
-/// Simple JSON-ish telemetry body of exactly `n` bytes.
+/// Simple JSON-ish telemetry body of exactly `n` bytes (2 at least).
 fn telemetry_body(n: usize) -> Vec<u8> {
-    let mut body = Vec::with_capacity(n);
+    let fill = n.saturating_sub(2);
+    let mut body = Vec::with_capacity(fill + 2);
     body.extend_from_slice(b"{\"b\":\"");
-    while body.len() < n.saturating_sub(2) {
-        body.push(b'A' + ((body.len() * 11) % 26) as u8);
-    }
-    body.truncate(n.saturating_sub(2));
+    let start = body.len();
+    body.extend((start..fill).map(|i| b'A' + ((i * 11) % 26) as u8));
+    body.truncate(fill);
     body.extend_from_slice(b"\"}");
     body
 }

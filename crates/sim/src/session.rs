@@ -3,7 +3,6 @@
 use crate::config::{SessionConfig, SessionOutput, SessionStats};
 use crate::error::{SessionError, SessionErrorKind, Side};
 use std::collections::VecDeque;
-use std::sync::Arc;
 use wm_capture::labels::{LabeledRecord, RecordClass};
 use wm_capture::tap::Tap;
 use wm_chaos::FaultKind;
@@ -16,11 +15,11 @@ use wm_net::rng::SimRng;
 use wm_net::tcp::{TcpEndpoint, TcpSegment};
 use wm_net::time::{Duration, SimTime};
 use wm_netflix::{NetflixServer, ServerConfig};
-use wm_player::{Player, PlayerActions, PlayerFault, PlayerTelemetry, RequestKind};
-use wm_telemetry::{Counter, Histogram, Registry};
+use wm_player::{Player, PlayerActions, PlayerFault, RequestKind};
+use wm_telemetry::{LocalHistogram, Registry, Snapshot};
 use wm_tls::handshake::{simulate_handshake, simulate_resumption, Sender};
 use wm_tls::record::{ContentType, MAX_FRAGMENT, RECORD_HEADER_LEN};
-use wm_tls::{RecordEngine, SessionKeys};
+use wm_tls::{EngineStats, RecordEngine, SessionKeys};
 use wm_trace::{SpanId, TraceHandle};
 
 /// Session-layer timer kinds (player kinds start at 0x100).
@@ -114,7 +113,10 @@ struct SessionState<'a> {
     faults_applied: u64,
     reconnects: u64,
     tap_frames_dropped: u64,
-    chaos_tel: Option<ChaosTelemetry>,
+    chaos_stats: ChaosStats,
+    /// Record-layer counts of the engines replaced by reconnects
+    /// (client, server), so telemetry spans every connection.
+    retired_tls: [EngineStats; 2],
 
     /// Reused TLS scratch: sealed wire bytes of the current write and
     /// drained plaintext records of the current delivery. Capacity
@@ -123,8 +125,9 @@ struct SessionState<'a> {
     wire_buf: Vec<u8>,
     rec_texts: Vec<Vec<u8>>,
 
-    /// Per-session metric registry (None when telemetry is disabled).
-    registry: Option<Registry>,
+    /// Stage timers (None when telemetry is disabled). Like every
+    /// component's counts they stay session-local until
+    /// [`SessionState::into_output`] publishes them.
     spans: Option<SimSpans>,
 
     /// Causal event recorder (None when tracing is disabled).
@@ -137,46 +140,24 @@ struct SessionState<'a> {
     hs_span: SpanId,
 }
 
-/// Chaos telemetry handles (observation only).
-struct ChaosTelemetry {
-    faults: Arc<Counter>,
-    reconnects: Arc<Counter>,
-    tap_dropped: Arc<Counter>,
-    tap_gap_us: Arc<Histogram>,
-    duplicates: Arc<Counter>,
-}
-
-impl ChaosTelemetry {
-    fn register(registry: &Registry) -> Self {
-        ChaosTelemetry {
-            faults: registry.counter("chaos.faults_injected"),
-            reconnects: registry.counter("chaos.reconnects"),
-            tap_dropped: registry.counter("chaos.tap_frames_dropped"),
-            tap_gap_us: registry.histogram("chaos.tap_gap_us"),
-            duplicates: registry.counter("chaos.duplicate_posts_injected"),
-        }
-    }
+/// Chaos counts not already kept as session fields (observation only).
+#[derive(Default)]
+struct ChaosStats {
+    /// Data segments lost to capture gaps (the session's
+    /// `tap_frames_dropped` also counts dropped control frames).
+    tap_segments_dropped: u64,
+    tap_gap_us: LocalHistogram,
+    duplicates: u64,
 }
 
 /// Session-layer span histograms: wall-clock time spent in each
-/// pipeline stage. Cloning clones `Arc` handles only.
-#[derive(Clone)]
+/// pipeline stage.
+#[derive(Default)]
 struct SimSpans {
-    player_ns: Arc<Histogram>,
-    server_ns: Arc<Histogram>,
-    seal_ns: Arc<Histogram>,
-    open_ns: Arc<Histogram>,
-}
-
-impl SimSpans {
-    fn register(registry: &Registry) -> Self {
-        SimSpans {
-            player_ns: registry.histogram("sim.player_ns"),
-            server_ns: registry.histogram("sim.server_ns"),
-            seal_ns: registry.histogram("sim.tls.seal_ns"),
-            open_ns: registry.histogram("sim.tls.open_ns"),
-        }
-    }
+    player_ns: LocalHistogram,
+    server_ns: LocalHistogram,
+    seal_ns: LocalHistogram,
+    open_ns: LocalHistogram,
 }
 
 const CLIENT_FLOW: FlowId = FlowId {
@@ -243,24 +224,11 @@ impl<'a> SessionState<'a> {
         let mut up_link = Link::new(cfg.conditions.upstream());
         let mut down_link = Link::new(cfg.conditions.downstream());
 
-        // Telemetry attaches observation-only handles; component RNGs
-        // and all simulation-visible state are untouched, so a session
-        // replays byte-identically with or without it.
-        let (registry, spans) = if cfg.telemetry {
-            let registry = Registry::new();
-            up_link.set_telemetry(wm_net::LinkTelemetry::register(&registry, "up"));
-            down_link.set_telemetry(wm_net::LinkTelemetry::register(&registry, "down"));
-            client_tls.set_telemetry(wm_tls::EngineTelemetry::register(&registry, "client"));
-            server_tls.set_telemetry(wm_tls::EngineTelemetry::register(&registry, "server"));
-            player.set_telemetry(PlayerTelemetry::register(&registry));
-            server.set_telemetry(wm_netflix::ServerTelemetry::register(&registry));
-            let spans = SimSpans::register(&registry);
-            (Some(registry), Some(spans))
-        } else {
-            (None, None)
-        };
-
-        let chaos_tel = registry.as_ref().map(ChaosTelemetry::register);
+        // Components count into plain fields of their own; telemetry
+        // only adds the stage timers here and a registry at the end.
+        // Component RNGs and all simulation-visible state are
+        // untouched, so a session replays byte-identically either way.
+        let spans = cfg.telemetry.then(SimSpans::default);
         let base_up = *up_link.params();
         let base_down = *down_link.params();
 
@@ -320,10 +288,10 @@ impl<'a> SessionState<'a> {
             faults_applied: 0,
             reconnects: 0,
             tap_frames_dropped: 0,
-            chaos_tel,
+            chaos_stats: ChaosStats::default(),
+            retired_tls: [EngineStats::default(); 2],
             wire_buf: Vec::new(),
             rec_texts: Vec::new(),
-            registry,
             spans,
             trace,
             session_span,
@@ -341,7 +309,6 @@ impl<'a> SessionState<'a> {
     }
 
     fn drive(&mut self) -> Result<(), SessionError> {
-        self.emit_syn_exchange();
         // First handshake flight shortly after the TCP handshake.
         self.queue.schedule(
             SimTime(45_000),
@@ -392,20 +359,24 @@ impl<'a> SessionState<'a> {
         // segments, merged by timestamp.
         self.tapped.sort_by_key(|(t, _)| *t);
         let mut tap = Tap::new();
-        if let Some(reg) = &self.registry {
-            tap.set_telemetry(reg);
-        }
         if let Some(h) = &self.trace {
             // Flow-lifecycle events are emitted at assembly time (the
             // tap replays control frames here), stamped with the frame
             // times the eavesdropper saw.
             tap.set_trace(h.clone(), self.session_span);
         }
-        let syn_times = self.syn_times();
+        // The endpoints start established; the initial SYN exchange is
+        // recorded at nominal times before the handshake flights (45 ms).
         let mut controls = vec![
-            (syn_times.0, CLIENT_FLOW, 0u32, 0u32, TcpFlags::SYN),
-            (syn_times.1, CLIENT_FLOW.reversed(), 0, 1, TcpFlags::SYN_ACK),
-            (syn_times.2, CLIENT_FLOW, 1, 1, TcpFlags::ACK),
+            (SimTime(1_000), CLIENT_FLOW, 0u32, 0u32, TcpFlags::SYN),
+            (
+                SimTime(19_000),
+                CLIENT_FLOW.reversed(),
+                0,
+                1,
+                TcpFlags::SYN_ACK,
+            ),
+            (SimTime(38_000), CLIENT_FLOW, 1, 1, TcpFlags::ACK),
         ];
         controls.extend(std::mem::take(&mut self.control_frames));
         controls.sort_by_key(|(t, ..)| *t);
@@ -425,15 +396,12 @@ impl<'a> SessionState<'a> {
             ci += 1;
         }
         let packets = tap.len();
-        let trace = tap.into_trace();
-
-        let telemetry = match &self.registry {
-            Some(reg) => {
-                reg.counter("sim.events").add(self.events);
-                reg.snapshot()
-            }
-            None => Default::default(),
+        let telemetry = if self.cfg.telemetry {
+            self.publish_telemetry(&tap)
+        } else {
+            Snapshot::default()
         };
+        let trace = tap.into_trace();
 
         let trace_events = match &self.trace {
             Some(h) => {
@@ -469,14 +437,42 @@ impl<'a> SessionState<'a> {
         }
     }
 
-    /// SYN / SYN-ACK / ACK frame times (recorded for pcap realism; the
-    /// endpoints start established).
-    fn syn_times(&self) -> (SimTime, SimTime, SimTime) {
-        (SimTime(1_000), SimTime(19_000), SimTime(38_000))
-    }
-
-    fn emit_syn_exchange(&mut self) {
-        // Times are nominal; the handshake flights start at 45 ms.
+    /// Publish every session-local count into a fresh registry, once:
+    /// the snapshot holds the same metrics the components would have
+    /// counted into shared handles.
+    fn publish_telemetry(&self, tap: &Tap) -> Snapshot {
+        let reg = Registry::new();
+        self.up_link.stats().publish(&reg, "up");
+        self.down_link.stats().publish(&reg, "down");
+        for ((engine, retired), label) in [&self.client_tls, &self.server_tls]
+            .into_iter()
+            .zip(&self.retired_tls)
+            .zip(["client", "server"])
+        {
+            let mut stats = *retired;
+            stats.merge(engine.stats());
+            stats.publish(&reg, label);
+        }
+        self.player.stats().publish(&reg);
+        self.server.stats().publish(&reg);
+        tap.publish(&reg);
+        if let Some(spans) = &self.spans {
+            reg.histogram("sim.player_ns").absorb(&spans.player_ns);
+            reg.histogram("sim.server_ns").absorb(&spans.server_ns);
+            reg.histogram("sim.tls.seal_ns").absorb(&spans.seal_ns);
+            reg.histogram("sim.tls.open_ns").absorb(&spans.open_ns);
+        }
+        let chaos = &self.chaos_stats;
+        reg.counter("chaos.faults_injected")
+            .add(self.faults_applied);
+        reg.counter("chaos.reconnects").add(self.reconnects);
+        reg.counter("chaos.tap_frames_dropped")
+            .add(chaos.tap_segments_dropped);
+        reg.histogram("chaos.tap_gap_us").absorb(&chaos.tap_gap_us);
+        reg.counter("chaos.duplicate_posts_injected")
+            .add(chaos.duplicates);
+        reg.counter("sim.events").add(self.events);
+        reg.snapshot()
     }
 
     // ---- event handlers -------------------------------------------------
@@ -491,16 +487,14 @@ impl<'a> SessionState<'a> {
             (PeerId::Client, PLAYER_START) => {
                 self.player_started = true;
                 let actions = {
-                    let spans = self.spans.clone();
-                    let _s = spans.as_ref().map(|s| s.player_ns.span());
+                    let _s = self.spans.as_mut().map(|s| s.player_ns.span());
                     self.player.start(now)
                 };
                 self.apply_player_actions(now, actions);
             }
             (PeerId::Client, kind) => {
                 let actions = {
-                    let spans = self.spans.clone();
-                    let _s = spans.as_ref().map(|s| s.player_ns.span());
+                    let _s = self.spans.as_mut().map(|s| s.player_ns.span());
                     self.player.on_timer(now, kind)
                 };
                 self.apply_player_actions(now, actions);
@@ -535,8 +529,7 @@ impl<'a> SessionState<'a> {
                 // A resumption handshake just finished: the transport
                 // is back, let the player replay unacked state.
                 let actions = {
-                    let spans = self.spans.clone();
-                    let _s = spans.as_ref().map(|s| s.player_ns.span());
+                    let _s = self.spans.as_mut().map(|s| s.player_ns.span());
                     self.player.on_reconnected(now)
                 };
                 self.apply_player_actions(now, actions);
@@ -585,7 +578,7 @@ impl<'a> SessionState<'a> {
                 for seg in segs {
                     self.send_segment(now, owner.peer(), seg);
                 }
-                self.arm_rto(now, owner);
+                self.arm_rto(owner);
             }
             _ => {} // stale or disarmed
         }
@@ -599,8 +592,7 @@ impl<'a> SessionState<'a> {
             let (_, bytes) = self.server_out.pop_front().expect("peeked");
             self.wire_buf.clear();
             {
-                let spans = self.spans.clone();
-                let _s = spans.as_ref().map(|s| s.seal_ns.span());
+                let _s = self.spans.as_mut().map(|s| s.seal_ns.span());
                 self.server_tls.seal_payload_into(
                     ContentType::ApplicationData,
                     &bytes,
@@ -634,7 +626,7 @@ impl<'a> SessionState<'a> {
         for out in actions.to_send {
             self.send_segment(now, to.peer(), out);
         }
-        self.arm_rto(now, to);
+        self.arm_rto(to);
         if actions.delivered.is_empty() {
             return Ok(());
         }
@@ -654,8 +646,7 @@ impl<'a> SessionState<'a> {
         self.server_tls.feed(bytes);
         let mut texts = std::mem::take(&mut self.rec_texts);
         let drained = {
-            let spans = self.spans.clone();
-            let _s = spans.as_ref().map(|s| s.open_ns.span());
+            let _s = self.spans.as_mut().map(|s| s.open_ns.span());
             drain_records_reused(&mut self.server_tls, &mut texts)
         };
         let n = match drained {
@@ -671,7 +662,6 @@ impl<'a> SessionState<'a> {
                 ));
             }
         };
-        let mut got_request = false;
         for plaintext in texts.iter().take(n) {
             let requests = self.req_parser.feed(plaintext).map_err(|e| {
                 self.fail(
@@ -692,8 +682,7 @@ impl<'a> SessionState<'a> {
                     req.body = decoded;
                 }
                 let resp = {
-                    let spans = self.spans.clone();
-                    let _s = spans.as_ref().map(|s| s.server_ns.span());
+                    let _s = self.spans.as_mut().map(|s| s.server_ns.span());
                     self.server.handle(&req)
                 };
                 let delay = Duration::from_micros(400 + self.rng.exponential(300.0) as u64);
@@ -712,11 +701,9 @@ impl<'a> SessionState<'a> {
                         kind: SERVER_SEND,
                     },
                 );
-                got_request = true;
             }
         }
         self.rec_texts = texts;
-        let _ = got_request;
         Ok(())
     }
 
@@ -728,8 +715,7 @@ impl<'a> SessionState<'a> {
         self.client_tls.feed(bytes);
         let mut texts = std::mem::take(&mut self.rec_texts);
         let drained = {
-            let spans = self.spans.clone();
-            let _s = spans.as_ref().map(|s| s.open_ns.span());
+            let _s = self.spans.as_mut().map(|s| s.open_ns.span());
             drain_records_reused(&mut self.client_tls, &mut texts)
         };
         let n = match drained {
@@ -757,8 +743,7 @@ impl<'a> SessionState<'a> {
             })?;
             for resp in responses {
                 let actions = {
-                    let spans = self.spans.clone();
-                    let _s = spans.as_ref().map(|s| s.player_ns.span());
+                    let _s = self.spans.as_mut().map(|s| s.player_ns.span());
                     self.player.on_response(now, &resp)
                 };
                 self.apply_player_actions(now, actions);
@@ -792,8 +777,7 @@ impl<'a> SessionState<'a> {
             for write in &writes {
                 self.wire_buf.clear();
                 {
-                    let spans = self.spans.clone();
-                    let _s = spans.as_ref().map(|s| s.seal_ns.span());
+                    let _s = self.spans.as_mut().map(|s| s.seal_ns.span());
                     self.client_tls.seal_payload_into(
                         ContentType::ApplicationData,
                         write,
@@ -854,7 +838,7 @@ impl<'a> SessionState<'a> {
         for seg in segs {
             self.send_segment(now, owner.peer(), seg);
         }
-        self.arm_rto(now, owner);
+        self.arm_rto(owner);
     }
 
     fn send_segment(&mut self, now: SimTime, to: PeerId, seg: TcpSegment) {
@@ -869,9 +853,7 @@ impl<'a> SessionState<'a> {
                 // Injected capture gap: the path delivers, the
                 // eavesdropper's tap records nothing.
                 self.tap_frames_dropped += 1;
-                if let Some(t) = &self.chaos_tel {
-                    t.tap_dropped.inc();
-                }
+                self.chaos_stats.tap_segments_dropped += 1;
                 if let Some(h) = &self.trace {
                     h.instant_at(
                         tap_at.micros(),
@@ -920,9 +902,6 @@ impl<'a> SessionState<'a> {
             return; // the session is over; nothing left to disturb
         }
         self.faults_applied += 1;
-        if let Some(t) = &self.chaos_tel {
-            t.faults.inc();
-        }
         if let Some(h) = &self.trace {
             // `a` carries the fault's magnitude where it has one.
             let a = match kind {
@@ -945,9 +924,7 @@ impl<'a> SessionState<'a> {
         match kind {
             FaultKind::TapGap { duration } => {
                 self.tap_blind_until = self.tap_blind_until.max(now + duration);
-                if let Some(t) = &self.chaos_tel {
-                    t.tap_gap_us.record(duration.micros());
-                }
+                self.chaos_stats.tap_gap_us.record(duration.micros());
             }
             FaultKind::BandwidthCollapse { factor, duration } => {
                 let mut up = self.base_up;
@@ -997,9 +974,7 @@ impl<'a> SessionState<'a> {
                 self.server.arm_state_errors(burst, secs);
             }
             FaultKind::DuplicateStatePost => {
-                if let Some(t) = &self.chaos_tel {
-                    t.duplicates.inc();
-                }
+                self.chaos_stats.duplicates += 1;
                 self.player
                     .inject_fault(PlayerFault::DuplicateNextStatePost);
             }
@@ -1039,9 +1014,6 @@ impl<'a> SessionState<'a> {
     fn do_reset(&mut self, now: SimTime) {
         self.generation += 1;
         self.reconnects += 1;
-        if let Some(t) = &self.chaos_tel {
-            t.reconnects.inc();
-        }
         let gen = self.generation;
         let seed = self.cfg.seed;
 
@@ -1069,6 +1041,10 @@ impl<'a> SessionState<'a> {
         self.flow = flow;
         self.client_tcp = TcpEndpoint::new(flow, isn_c, isn_s);
         self.server_tcp = TcpEndpoint::new(flow.reversed(), isn_s, isn_c);
+        // The record counts carry over to the successor engines.
+        let [client_retired, server_retired] = &mut self.retired_tls;
+        client_retired.merge(self.client_tls.stats());
+        server_retired.merge(self.server_tls.stats());
         self.client_tls = RecordEngine::client(&self.keys);
         self.server_tls = RecordEngine::server(&self.keys);
         self.req_parser = RequestParser::new();
@@ -1136,7 +1112,7 @@ impl<'a> SessionState<'a> {
         );
     }
 
-    fn arm_rto(&mut self, _now: SimTime, owner: PeerId) {
+    fn arm_rto(&mut self, owner: PeerId) {
         let deadline = match owner {
             PeerId::Client => self.client_tcp.rto_deadline(),
             PeerId::Server => self.server_tcp.rto_deadline(),

@@ -7,6 +7,8 @@
 //!   (atomic) count/sum/min/max, cheap enough for hot paths;
 //! * [`Span`] — an RAII timer recording elapsed nanoseconds into a
 //!   histogram on drop;
+//! * [`LocalHistogram`] / [`LocalSpan`] — the same, in plain integers
+//!   for a single owner that publishes once ([`Histogram::absorb`]);
 //! * [`Registry`] — a named collection of the above, shared by `Arc`
 //!   handles, snapshottable at any time;
 //! * [`Snapshot`] — an immutable, mergeable view that renders both a
@@ -34,6 +36,6 @@ pub mod registry;
 pub mod snapshot;
 
 pub use delta::DeltaTracker;
-pub use metric::{Counter, Histogram, Span, BUCKETS};
+pub use metric::{Counter, Histogram, LocalHistogram, LocalSpan, Span, BUCKETS};
 pub use registry::Registry;
 pub use snapshot::{HistogramSnapshot, Snapshot};

@@ -141,6 +141,88 @@ impl Histogram {
         let _span = self.span();
         f()
     }
+
+    /// Fold in every observation of `local`, exactly as if each had
+    /// been recorded here.
+    pub fn absorb(&self, local: &LocalHistogram) {
+        if local.count == 0 {
+            return;
+        }
+        for (bucket, &n) in self.buckets.iter().zip(&local.buckets) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(local.count, Ordering::Relaxed);
+        self.sum.fetch_add(local.sum, Ordering::Relaxed);
+        self.min.fetch_min(local.min, Ordering::Relaxed);
+        self.max.fetch_max(local.max, Ordering::Relaxed);
+    }
+}
+
+/// A single-owner histogram: [`Histogram`]'s buckets and exact moments
+/// in plain integers.
+///
+/// A hot loop that owns its measurements records here without atomics
+/// or shared handles, and its owner publishes the result once with
+/// [`Histogram::absorb`] (the pattern the online decoder's plain stats
+/// follow).
+#[derive(Debug, Clone)]
+pub struct LocalHistogram {
+    buckets: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LocalHistogram {
+    pub fn new() -> Self {
+        LocalHistogram {
+            buckets: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    /// Record one observation.
+    pub fn record(&mut self, value: u64) {
+        if let Some(bucket) = self.buckets.get_mut(Histogram::bucket_index(value)) {
+            *bucket += 1;
+        }
+        self.count += 1;
+        // Wraps like the atomic sum it is published into.
+        self.sum = self.sum.wrapping_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Observations recorded so far.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Exact sum of all recorded values.
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Start a span whose elapsed nanoseconds are recorded on drop.
+    pub fn span(&mut self) -> LocalSpan<'_> {
+        LocalSpan {
+            hist: self,
+            // wm-lint: allow(determinism/wall-clock, reason = "telemetry spans measure real elapsed wall time by design; span durations are observability output and never feed simulated bytes")
+            start: Instant::now(),
+        }
+    }
 }
 
 /// RAII timer: records elapsed wall-clock nanoseconds into its
@@ -151,6 +233,19 @@ pub struct Span<'a> {
 }
 
 impl Drop for Span<'_> {
+    fn drop(&mut self) {
+        self.hist.record(self.start.elapsed().as_nanos() as u64);
+    }
+}
+
+/// RAII timer over a [`LocalHistogram`]: records elapsed wall-clock
+/// nanoseconds when dropped.
+pub struct LocalSpan<'a> {
+    hist: &'a mut LocalHistogram,
+    start: Instant,
+}
+
+impl Drop for LocalSpan<'_> {
     fn drop(&mut self) {
         self.hist.record(self.start.elapsed().as_nanos() as u64);
     }
@@ -216,6 +311,35 @@ mod tests {
         assert_eq!(buckets[3], 1); // 5
         assert_eq!(buckets[5], 1); // 17
         assert_eq!(buckets[10], 1); // 1000
+    }
+
+    #[test]
+    fn absorbing_a_local_histogram_equals_recording_directly() {
+        let values = [5u64, 0, 1000, 17, u64::MAX, 3];
+        let direct = Histogram::new();
+        let mut local = LocalHistogram::new();
+        for v in values {
+            direct.record(v);
+            local.record(v);
+        }
+        let published = Histogram::new();
+        published.record(9);
+        direct.record(9);
+        published.absorb(&local);
+        published.absorb(&LocalHistogram::new());
+        assert_eq!(published.count(), direct.count());
+        assert_eq!(published.sum(), direct.sum());
+        assert_eq!(published.min(), direct.min());
+        assert_eq!(published.max(), direct.max());
+        assert_eq!(published.bucket_counts(), direct.bucket_counts());
+        assert_eq!(local.count(), values.len() as u64);
+    }
+
+    #[test]
+    fn local_span_records_once() {
+        let mut h = LocalHistogram::new();
+        drop(h.span());
+        assert_eq!(h.count(), 1);
     }
 
     #[test]

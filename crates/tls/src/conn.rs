@@ -8,12 +8,11 @@
 
 use crate::record::{fragments, ContentType, RecordHeader, MAX_CIPHERTEXT, RECORD_HEADER_LEN};
 use crate::suite::{CipherSuite, CBC_MAC_LEN};
-use std::sync::Arc;
 use wm_cipher::block::{BlockCipher, BLOCK};
 use wm_cipher::kdf::{derive_key, mix};
 use wm_cipher::mac::{tags_equal, Mac128};
 use wm_cipher::{open_into, seal_into, Key, Nonce};
-use wm_telemetry::{Counter, Registry};
+use wm_telemetry::Registry;
 use wm_trace::{SpanId, TraceHandle};
 
 /// Key material for one connection, both directions.
@@ -56,26 +55,39 @@ impl std::fmt::Display for TlsError {
 
 impl std::error::Error for TlsError {}
 
-/// Record-layer telemetry handles for one engine (see `wm-telemetry`).
+/// Record-layer counts for one engine, kept in plain fields by the
+/// engine and published into a `wm-telemetry` registry by its owner.
 ///
 /// `bytes_*` count plaintext payload bytes; record counts include every
 /// fragment sealed or authenticated.
-pub struct EngineTelemetry {
-    records_sealed: Arc<Counter>,
-    bytes_sealed: Arc<Counter>,
-    records_opened: Arc<Counter>,
-    bytes_opened: Arc<Counter>,
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    pub records_sealed: u64,
+    pub bytes_sealed: u64,
+    pub records_opened: u64,
+    pub bytes_opened: u64,
 }
 
-impl EngineTelemetry {
-    /// Register this engine's metrics under `tls.<label>.*`
-    /// (label is conventionally `client` or `server`).
-    pub fn register(registry: &Registry, label: &str) -> Self {
-        EngineTelemetry {
-            records_sealed: registry.counter(&format!("tls.{label}.records_sealed")),
-            bytes_sealed: registry.counter(&format!("tls.{label}.bytes_sealed")),
-            records_opened: registry.counter(&format!("tls.{label}.records_opened")),
-            bytes_opened: registry.counter(&format!("tls.{label}.bytes_opened")),
+impl EngineStats {
+    /// Add `other`'s counts (an engine replaced on reconnect keeps
+    /// counting into the same totals).
+    pub fn merge(&mut self, other: &EngineStats) {
+        self.records_sealed += other.records_sealed;
+        self.bytes_sealed += other.bytes_sealed;
+        self.records_opened += other.records_opened;
+        self.bytes_opened += other.bytes_opened;
+    }
+
+    /// Publish into `registry` under `tls.<label>.*` (label is
+    /// conventionally `client` or `server`).
+    pub fn publish(&self, registry: &Registry, label: &str) {
+        for (name, value) in [
+            ("records_sealed", self.records_sealed),
+            ("bytes_sealed", self.bytes_sealed),
+            ("records_opened", self.records_opened),
+            ("bytes_opened", self.bytes_opened),
+        ] {
+            registry.counter(&format!("tls.{label}.{name}")).add(value);
         }
     }
 }
@@ -102,7 +114,7 @@ pub struct RecordEngine {
     /// of once per record (CBC suites only).
     write_block: Option<BlockCipher>,
     read_block: Option<BlockCipher>,
-    telemetry: Option<EngineTelemetry>,
+    stats: EngineStats,
     /// Causal trace sink: events land under the attached span (the
     /// owning flow), stamped with the recorder's shared sim clock.
     trace: Option<(TraceHandle, SpanId)>,
@@ -138,15 +150,15 @@ impl RecordEngine {
             scratch: Vec::new(),
             write_block,
             read_block,
-            telemetry: None,
+            stats: EngineStats::default(),
             trace: None,
         }
     }
 
-    /// Attach telemetry handles (observation only; never changes wire
-    /// bytes or authentication outcomes).
-    pub fn set_telemetry(&mut self, telemetry: EngineTelemetry) {
-        self.telemetry = Some(telemetry);
+    /// Record counts so far (observation only; counting never changes
+    /// wire bytes or authentication outcomes).
+    pub fn stats(&self) -> &EngineStats {
+        &self.stats
     }
 
     /// Attach a trace sink; record framing events (`tls.record.sealed`
@@ -189,10 +201,8 @@ impl RecordEngine {
     fn seal_fragment(&mut self, content_type: ContentType, payload: &[u8], wire: &mut Vec<u8>) {
         let seq = self.write_seq;
         self.write_seq += 1;
-        if let Some(t) = &self.telemetry {
-            t.records_sealed.inc();
-            t.bytes_sealed.add(payload.len() as u64);
-        }
+        self.stats.records_sealed += 1;
+        self.stats.bytes_sealed += payload.len() as u64;
         let ct_len = self.suite.ciphertext_len(payload.len());
         if let Some((h, span)) = &self.trace {
             // a = record sequence, b = on-the-wire record length — the
@@ -318,10 +328,8 @@ impl RecordEngine {
                 }
             }
         }
-        if let Some(t) = &self.telemetry {
-            t.records_opened.inc();
-            t.bytes_opened.add(out.len() as u64);
-        }
+        self.stats.records_opened += 1;
+        self.stats.bytes_opened += out.len() as u64;
         if let Some((h, span)) = &self.trace {
             h.instant(*span, "tls.record.opened", seq, out.len() as u64);
         }
@@ -515,11 +523,8 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_records_and_bytes() {
+    fn stats_count_records_and_bytes() {
         let (mut client, mut server) = pair(CipherSuite::Aead);
-        let reg = Registry::new();
-        client.set_telemetry(EngineTelemetry::register(&reg, "client"));
-        server.set_telemetry(EngineTelemetry::register(&reg, "server"));
         // One small record plus a two-fragment payload.
         let small = client.seal_payload(ContentType::ApplicationData, b"hi");
         let big_payload = vec![0x5a; (1 << 14) + 100];
@@ -528,6 +533,9 @@ mod tests {
         server.feed(&big);
         let records = server.drain_records().unwrap();
         assert_eq!(records.len(), 3);
+        let reg = Registry::new();
+        client.stats().publish(&reg, "client");
+        server.stats().publish(&reg, "server");
         let snap = reg.snapshot();
         assert_eq!(snap.counters["tls.client.records_sealed"], 3);
         assert_eq!(

@@ -30,7 +30,7 @@ pub mod observer;
 pub mod record;
 pub mod suite;
 
-pub use conn::{EngineTelemetry, RecordEngine, SessionKeys, TlsError};
+pub use conn::{EngineStats, RecordEngine, SessionKeys, TlsError};
 pub use observer::{ObservedRecord, RecordObserver};
 pub use record::{ContentType, RecordHeader, MAX_FRAGMENT, RECORD_HEADER_LEN};
 pub use suite::CipherSuite;
