@@ -49,9 +49,14 @@ impl StreamChunk<'_> {
             .map_or(self.start_offset, |p| p.offset + p.data.len() as u64)
     }
 
-    /// The run's bytes, copied into one buffer.
+    /// The run's bytes, copied into one exactly sized buffer. For tests
+    /// and tools: the decode paths read the pieces in place.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.pieces.iter().flat_map(|p| p.data).copied().collect()
+        let mut out = Vec::with_capacity(self.pieces.iter().map(|p| p.data.len()).sum());
+        for p in &self.pieces {
+            out.extend_from_slice(p.data);
+        }
+        out
     }
 }
 
@@ -256,6 +261,32 @@ mod tests {
         assert_eq!(up.gap_count(), 0);
         assert_eq!(up.time_at(0), Some(SimTime(1)));
         assert_eq!(up.time_at(8), Some(SimTime(2)));
+    }
+
+    #[test]
+    fn to_vec_joins_many_small_pieces() {
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let mut pieces = Vec::new();
+        let (mut at, mut len) = (0, 1);
+        while at < bytes.len() {
+            let end = (at + len).min(bytes.len());
+            pieces.push(StreamPiece {
+                offset: 40 + at as u64,
+                data: &bytes[at..end],
+                time: SimTime(at as u64),
+            });
+            at = end;
+            len = len % 7 + 1;
+        }
+        let chunk = StreamChunk {
+            start_offset: 40,
+            pieces,
+        };
+        assert!(chunk.pieces.len() > 200);
+        let joined = chunk.to_vec();
+        assert_eq!(joined, bytes);
+        assert_eq!(joined.capacity(), bytes.len(), "exactly sized");
+        assert_eq!(chunk.end_offset(), 40 + bytes.len() as u64);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! whose bytes were partly lost are dropped (and counted) rather than
 //! misreported.
 
-use crate::flow::{StreamPiece, StreamView};
+use crate::flow::{StreamChunk, StreamPiece, StreamView};
 use wm_net::time::SimTime;
 use wm_tls::observer::ObservedRecord;
 use wm_tls::record::{RecordHeader, RECORD_HEADER_LEN};
@@ -51,7 +51,9 @@ const RESYNC_CHAIN: usize = 2;
 /// Extract every parseable TLS record from one stream direction.
 ///
 /// The walk jumps from header to header over the chunks' borrowed
-/// pieces; only a chunk after a gap is copied, for [`find_resync`].
+/// pieces, and the resync scan after a gap reads them in place: no
+/// stream byte is copied.
+// wm-lint: hotpath
 pub fn extract_records(view: &StreamView) -> Extraction {
     let mut out = Extraction::default();
     let mut walk = HeaderWalk::default();
@@ -66,9 +68,8 @@ pub fn extract_records(view: &StreamView) -> Extraction {
             out.gap_times.extend(chunk.pieces.first().map(|p| p.time));
             // The partial record before the gap can never complete.
             walk = HeaderWalk::default();
-            let data = chunk.to_vec();
-            let Some(at) = find_resync(&data) else {
-                out.stats.skipped_bytes += data.len() as u64;
+            let Some(at) = scan_resync(chunk) else {
+                out.stats.skipped_bytes += chunk.end_offset() - chunk.start_offset;
                 continue;
             };
             out.stats.resyncs += 1;
@@ -159,11 +160,65 @@ impl HeaderWalk {
 /// where [`RESYNC_CHAIN`] headers chain, or at least one complete
 /// header whose final record extends past the buffer edge.
 pub fn find_resync(data: &[u8]) -> Option<usize> {
-    'outer: for start in 0..data.len().saturating_sub(RECORD_HEADER_LEN) {
+    scan_resync(data)
+}
+
+/// The bytes a resync scan reads: a length, and the header-sized
+/// window at an offset.
+trait ResyncSource {
+    fn len(&self) -> usize;
+    /// The [`RECORD_HEADER_LEN`] bytes at `at`, if all are in bounds.
+    /// `cursor` is the caller's place in the source; it only moves
+    /// forward, so a walk over ascending offsets never searches again
+    /// from the start.
+    fn header_at(&self, at: usize, cursor: &mut usize) -> Option<[u8; RECORD_HEADER_LEN]>;
+}
+
+impl ResyncSource for [u8] {
+    fn len(&self) -> usize {
+        <[u8]>::len(self)
+    }
+
+    fn header_at(&self, at: usize, _cursor: &mut usize) -> Option<[u8; RECORD_HEADER_LEN]> {
+        self.get(at..)?.first_chunk().copied()
+    }
+}
+
+/// A contiguous run read in place: offsets are relative to its first
+/// byte and the cursor is a piece index.
+impl ResyncSource for StreamChunk<'_> {
+    fn len(&self) -> usize {
+        (self.end_offset() - self.start_offset) as usize
+    }
+
+    fn header_at(&self, at: usize, cursor: &mut usize) -> Option<[u8; RECORD_HEADER_LEN]> {
+        let at = self.start_offset + at as u64;
+        let ends_before = |p: &StreamPiece| p.offset + p.data.len() as u64 <= at;
+        if self.pieces.get(*cursor).is_some_and(ends_before) {
+            *cursor += self.pieces.get(*cursor..)?.partition_point(ends_before);
+        }
+        // Gather the header: it may straddle pieces.
+        let (first, rest) = self.pieces.get(*cursor..)?.split_first()?;
+        let head = first.data.get(at.checked_sub(first.offset)? as usize..)?;
+        let bytes = head.iter().chain(rest.iter().flat_map(|p| p.data));
+        let mut header = [0; RECORD_HEADER_LEN];
+        let filled = header.iter_mut().zip(bytes).map(|(d, &s)| *d = s).count();
+        (filled == RECORD_HEADER_LEN).then_some(header)
+    }
+}
+
+/// [`find_resync`] over any [`ResyncSource`].
+fn scan_resync<S: ResyncSource + ?Sized>(src: &S) -> Option<usize> {
+    let len = src.len();
+    // Candidate starts ascend, and so does their cursor; a chain check
+    // reads ahead on a copy of it.
+    let mut cursor = 0;
+    'outer: for start in 0..len.saturating_sub(RECORD_HEADER_LEN) {
+        let mut ahead = cursor;
         let mut pos = start;
         let mut chained = 0;
         while chained < RESYNC_CHAIN {
-            if pos + RECORD_HEADER_LEN > data.len() {
+            if pos + RECORD_HEADER_LEN > len {
                 // Ran out of bytes: accept only if we chained at least
                 // one full record and ended exactly at the buffer edge
                 // or inside a final partial record's body.
@@ -172,17 +227,15 @@ pub fn find_resync(data: &[u8]) -> Option<usize> {
                 }
                 continue 'outer;
             }
-            let Some(hdr) = data
-                .get(pos..)
-                .and_then(|s| s.first_chunk::<RECORD_HEADER_LEN>())
-            else {
-                continue 'outer;
-            };
-            let Some(h) = RecordHeader::parse(hdr) else {
+            let hdr = src.header_at(pos, &mut ahead);
+            if chained == 0 {
+                cursor = ahead;
+            }
+            let Some(h) = hdr.as_ref().and_then(RecordHeader::parse) else {
                 continue 'outer;
             };
             pos += RECORD_HEADER_LEN + h.length as usize;
-            if pos > data.len() {
+            if pos > len {
                 // Final record extends past the chunk: plausible if we
                 // already validated at least one complete header chain.
                 if chained >= 1 {
@@ -200,7 +253,6 @@ pub fn find_resync(data: &[u8]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::StreamChunk;
     use wm_tls::conn::{RecordEngine, SessionKeys};
     use wm_tls::record::ContentType;
     use wm_tls::suite::CipherSuite;

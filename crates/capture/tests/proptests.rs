@@ -5,13 +5,14 @@
 //! driver. Failures print the case number for replay.
 
 use std::sync::Arc;
-use wm_capture::flow::FlowReassembler;
+use wm_capture::flow::{FlowReassembler, StreamChunk, StreamPiece, StreamView};
 use wm_capture::pcap::{PcapReader, PcapWriter};
 use wm_capture::records::{extract_records, Extraction};
 use wm_capture::tap::{CapturedPacket, Tap, Trace};
 use wm_capture::RECORD_HEADER_LEN;
 use wm_chaos::{FaultKind, FaultPlan};
 use wm_core::{client_app_records, ClientFeatures};
+use wm_net::conditions::{ConnectionType, LinkConditions, TimeOfDay};
 use wm_net::headers::{FlowId, TcpFlags};
 use wm_net::tcp::TcpSegment;
 use wm_net::time::{Duration, SimTime};
@@ -274,15 +275,62 @@ fn reassembler_total_on_garbage() {
 // borrowed ones replaced, kept here unchanged as the reference. Every
 // payload byte is copied into per-segment `Vec`s, chunks own merged
 // buffers with `(offset, time)` marks, and extraction drains a carry
-// buffer behind a head cursor.
+// buffer behind a head cursor. The slice-only resync scan the library
+// used before it read pieces in place is kept here too, so the
+// reference shares no code with what it checks.
 mod owned {
     use std::collections::BTreeMap;
-    use wm_capture::records::{find_resync, Extraction, TimedRecord};
+    use wm_capture::records::{Extraction, TimedRecord};
     use wm_capture::tap::Trace;
     use wm_capture::{ContentType, ObservedRecord, RecordHeader, RECORD_HEADER_LEN};
     use wm_core::ClientFeatures;
     use wm_net::headers::{parse_frame, FlowId, TcpHeader};
     use wm_net::time::SimTime;
+
+    /// Minimum chained headers required to accept a resync offset (or
+    /// one full record that exactly exhausts the chunk).
+    const RESYNC_CHAIN: usize = 2;
+
+    /// Find the smallest offset in `data` at which a chain of plausible
+    /// record headers parses.
+    pub fn find_resync(data: &[u8]) -> Option<usize> {
+        'outer: for start in 0..data.len().saturating_sub(RECORD_HEADER_LEN) {
+            let mut pos = start;
+            let mut chained = 0;
+            while chained < RESYNC_CHAIN {
+                if pos + RECORD_HEADER_LEN > data.len() {
+                    // Ran out of bytes: accept only if we chained at least
+                    // one full record and ended exactly at the buffer edge
+                    // or inside a final partial record's body.
+                    if chained >= 1 {
+                        return Some(start);
+                    }
+                    continue 'outer;
+                }
+                let Some(hdr) = data
+                    .get(pos..)
+                    .and_then(|s| s.first_chunk::<RECORD_HEADER_LEN>())
+                else {
+                    continue 'outer;
+                };
+                let Some(h) = RecordHeader::parse(hdr) else {
+                    continue 'outer;
+                };
+                pos += RECORD_HEADER_LEN + h.length as usize;
+                if pos > data.len() {
+                    // Final record extends past the chunk: plausible if we
+                    // already validated at least one complete header chain.
+                    if chained >= 1 {
+                        return Some(start);
+                    }
+                    continue 'outer;
+                }
+                chained += 1;
+            }
+            return Some(start);
+        }
+        None
+    }
 
     pub struct Chunk {
         pub start_offset: u64,
@@ -826,5 +874,199 @@ fn tap_gap_sessions_match_owned_reference() {
     assert!(
         gaps > 0,
         "no session's tap gap surfaced as a reassembly gap"
+    );
+}
+
+/// `client_app_records` on simulated sessions whose gaps come from
+/// natural link loss (a busy wireless link and a tap that misses
+/// frames, no chaos) matches the owned reference.
+#[test]
+fn lossy_link_sessions_match_owned_reference() {
+    let graph = Arc::new(tiny_film());
+    let (mut gaps, mut resyncs) = (0, 0);
+    // The tap misses under 1% of frames, so a session of the small film
+    // sees a gap only now and then.
+    for case in 0..100u64 {
+        let script = ViewerScript::from_choices(
+            &[Choice::Default, Choice::NonDefault, Choice::NonDefault],
+            Duration::from_millis(900),
+        );
+        let mut cfg = SessionConfig::fast(graph.clone(), 500 + case, script);
+        cfg.conditions = LinkConditions::new(ConnectionType::Wireless, TimeOfDay::Night);
+        let out = run_session(&cfg).expect("session completes");
+        let want = owned::client_app_records(&out.trace);
+        gaps += want.stats.gaps;
+        resyncs += want.stats.resyncs;
+        assert_same_features(
+            &client_app_records(&out.trace),
+            &want,
+            &format!("session {case}"),
+        );
+    }
+    assert!(
+        gaps >= 10 && resyncs >= 10,
+        "link loss surfaced only {gaps} gaps and {resyncs} resyncs"
+    );
+}
+
+/// What a chunk after a gap holds, for the per-split resync
+/// differential.
+#[derive(Clone, Copy, Debug)]
+enum PostGap {
+    /// A lost record's tail, a chain of records, then a few stray bytes.
+    Chain,
+    /// Bytes that never parse as a header (all at least 0x80).
+    Garbage,
+    /// A lost record's tail, then records that end exactly at the edge.
+    ExactEdge,
+    /// A lost record's tail, then records, the last running past the edge.
+    PastEdge,
+}
+
+fn push_record(rng: &mut Rng, bytes: &mut Vec<u8>, body: usize) {
+    bytes.extend_from_slice(&[23, 3, 3]);
+    bytes.extend_from_slice(&(body as u16).to_be_bytes());
+    bytes.extend((0..body).map(|_| rng.next() as u8));
+}
+
+/// Bytes of one post-gap chunk of the given kind. Records are short,
+/// so many chunks are small enough to split every possible way.
+fn post_gap_chunk(rng: &mut Rng, kind: PostGap) -> Vec<u8> {
+    if let PostGap::Garbage = kind {
+        return (0..1 + rng.below(40))
+            .map(|_| rng.next() as u8 | 0x80)
+            .collect();
+    }
+    let mut bytes: Vec<u8> = (0..rng.below(6)).map(|_| rng.next() as u8).collect();
+    if rng.below(3) == 0 {
+        // A decoy: a plausible header whose successor is not one.
+        let body = rng.below(4);
+        push_record(rng, &mut bytes, body);
+        bytes.push(0xff);
+    }
+    for _ in 0..1 + rng.below(3) {
+        let body = rng.below(10);
+        push_record(rng, &mut bytes, body);
+    }
+    match kind {
+        PostGap::Chain => bytes.extend((0..rng.below(5)).map(|_| rng.next() as u8)),
+        PostGap::PastEdge => {
+            let body = 1 + rng.below(20);
+            push_record(rng, &mut bytes, body);
+            bytes.truncate(bytes.len() - 1 - rng.below(body));
+        }
+        PostGap::ExactEdge | PostGap::Garbage => {}
+    }
+    bytes
+}
+
+/// Cut sets (indices where a new piece starts) to try on `len` bytes:
+/// every one when there are few, else no cut, each single cut, all
+/// 1-byte pieces and random tilings of 1–6 byte pieces.
+fn splits(rng: &mut Rng, len: usize) -> Vec<Vec<usize>> {
+    if len <= 13 {
+        return (0..1u32 << len.saturating_sub(1))
+            .map(|mask| (1..len).filter(|&i| mask >> (i - 1) & 1 == 1).collect())
+            .collect();
+    }
+    let mut out = vec![Vec::new(), (1..len).collect()];
+    out.extend((1..len).map(|i| vec![i]));
+    for _ in 0..16 {
+        let mut cuts = Vec::new();
+        let mut at = 1 + rng.below(6);
+        while at < len {
+            cuts.push(at);
+            at += 1 + rng.below(6);
+        }
+        out.push(cuts);
+    }
+    out
+}
+
+/// The resync scan over a chunk's borrowed pieces agrees with the
+/// vendored slice scan on the chunk's bytes, however the chunk is cut
+/// into pieces: valid chains, garbage, chains ending exactly at the
+/// edge, final records running past it, and headers straddling 1-byte
+/// pieces. The whole extraction matches the owned reference too.
+#[test]
+fn resync_over_pieces_matches_reference_at_every_split() {
+    const LEAD: &[u8] = &[23, 3]; // a header the gap cuts short
+    const START: u64 = 50;
+    let (mut found, mut not_found) = (0, 0);
+    for case in 0..400u64 {
+        let mut rng = Rng(0xCA_8000 + case);
+        let kind = [
+            PostGap::Chain,
+            PostGap::Garbage,
+            PostGap::ExactEdge,
+            PostGap::PastEdge,
+        ][case as usize % 4];
+        let bytes = post_gap_chunk(&mut rng, kind);
+        let want = owned::find_resync(&bytes);
+        if want.is_some() {
+            found += 1;
+        } else {
+            not_found += 1;
+        }
+        for cuts in splits(&mut rng, bytes.len()) {
+            let ctx = format!("case {case} {kind:?} {bytes:?} cut at {cuts:?}");
+            let bounds: Vec<(usize, usize)> = std::iter::once(0)
+                .chain(cuts.iter().copied())
+                .zip(cuts.iter().copied().chain(std::iter::once(bytes.len())))
+                .collect();
+            let piece_time = |a: usize| SimTime(100 + a as u64);
+            let lead = StreamChunk {
+                start_offset: 0,
+                pieces: vec![StreamPiece {
+                    offset: 0,
+                    data: LEAD,
+                    time: SimTime(1),
+                }],
+            };
+            let chunk = StreamChunk {
+                start_offset: START,
+                pieces: bounds
+                    .iter()
+                    .map(|&(a, b)| StreamPiece {
+                        offset: START + a as u64,
+                        data: &bytes[a..b],
+                        time: piece_time(a),
+                    })
+                    .collect(),
+            };
+            let view = StreamView {
+                chunks: vec![lead, chunk],
+            };
+            let reference = owned::View {
+                chunks: vec![
+                    owned::Chunk {
+                        start_offset: 0,
+                        data: LEAD.to_vec(),
+                        marks: vec![(0, SimTime(1))],
+                    },
+                    owned::Chunk {
+                        start_offset: START,
+                        data: bytes.clone(),
+                        marks: bounds
+                            .iter()
+                            .map(|&(a, _)| (START + a as u64, piece_time(a)))
+                            .collect(),
+                    },
+                ],
+            };
+            let got = extract_records(&view);
+            assert_eq!(got.stats.gaps, 1, "{ctx}");
+            assert_eq!(got.stats.resyncs, usize::from(want.is_some()), "{ctx}");
+            let first = got.records.first().map(|r| r.record.stream_offset);
+            assert_eq!(first, want.map(|at| START + at as u64), "{ctx}");
+            if want.is_none() {
+                assert_eq!(got.stats.skipped_bytes, bytes.len() as u64, "{ctx}");
+            }
+            assert_same_extraction(&got, &owned::extract_records(&reference), &ctx);
+        }
+    }
+    assert!(
+        found >= 10 && not_found >= 10,
+        "resync found {found}, not found {not_found}"
     );
 }

@@ -82,8 +82,9 @@ pub struct V2Config {
 
 /// The per-record hot loops the throughput engine (PR 6) depends on:
 /// the sim's reused-buffer record drain, TLS sealing/framing into
-/// caller buffers, online ingest, the offline record-header walk over
-/// borrowed capture pieces, and the LUT length classifier.
+/// caller buffers, online ingest, the offline record extraction (its
+/// gap resync included) and header walk over borrowed capture pieces,
+/// and the LUT length classifier.
 /// The per-session drivers above them (dataset runner, session setup)
 /// are deliberately *not* roots: they allocate once per session, and
 /// annotating them would drown the per-record envelope in noise.
@@ -92,6 +93,7 @@ pub const EXPECTED_HOTPATH_ROOTS: &[&str] = &[
     "wm_tls::RecordEngine::seal_payload_into",
     "wm_tls::RecordEngine::next_record_into",
     "wm_online::FlowIngest::accept_segment",
+    "wm_capture::extract_records",
     "wm_capture::HeaderWalk::feed",
     "wm_core::IntervalClassifier::classify_lengths",
 ];

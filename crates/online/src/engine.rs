@@ -323,6 +323,8 @@ pub struct OnlineDecoder {
     // -- per-call scratch: cleared on every use, never part of decoder
     //    state (checkpoints ignore it). Bounded by one push's record
     //    yield, which the ingest budgets cap.
+    rec_scratch: Batch<ExtractedRecord>,
+    gap_scratch: Batch<GapEvent>,
     admit_scratch: Batch<ExtractedRecord>,
     len_scratch: Batch<u16>,
     class_scratch: Vec<RecordClass>,
@@ -373,6 +375,8 @@ impl OnlineDecoder {
             emitted: 0,
             records_seen: 0,
             records_at_checkpoint: 0,
+            rec_scratch: Batch::new(),
+            gap_scratch: Batch::new(),
             admit_scratch: Batch::new(),
             len_scratch: Batch::new(),
             class_scratch: Vec::new(),
@@ -471,8 +475,7 @@ impl OnlineDecoder {
         if time > self.max_seen {
             self.max_seen = time;
         }
-        let mut recs = Batch::new();
-        let mut gaps = Batch::new();
+        let (mut recs, mut gaps) = self.take_batches();
         if let Some((flow, tcp, payload, missing)) = parse_frame_lossy(frame) {
             if flow.dst_port == 443 && !payload.is_empty() {
                 self.stats.segments = self.stats.segments.saturating_add(1);
@@ -499,8 +502,7 @@ impl OnlineDecoder {
         for ingest in self.flows.values_mut() {
             ingest.flush(now, patience, &mut recs, &mut gaps);
         }
-        self.note_gaps(gaps);
-        self.note_records(recs);
+        self.admit_batches(recs, gaps);
         let mut out = Batch::new();
         self.advance(&mut out);
         out.into_vec()
@@ -510,13 +512,11 @@ impl OnlineDecoder {
     /// evidence finalizes, and the remaining graph walk resolves (on
     /// timing alone where the stream ran dry).
     pub fn finish(&mut self) -> Vec<OnlineVerdict> {
-        let mut recs = Batch::new();
-        let mut gaps = Batch::new();
+        let (mut recs, mut gaps) = self.take_batches();
         for ingest in self.flows.values_mut() {
             ingest.finish(&mut recs, &mut gaps);
         }
-        self.note_gaps(gaps);
-        self.note_records(recs);
+        self.admit_batches(recs, gaps);
         self.finishing = true;
         let mut out = Batch::new();
         self.advance(&mut out);
@@ -526,8 +526,27 @@ impl OnlineDecoder {
 
     // -- event admission ----------------------------------------------
 
-    fn note_gaps(&mut self, gaps: Batch<GapEvent>) {
-        for g in gaps.into_vec() {
+    /// The record and gap batches, emptied, taken out of `self` so
+    /// ingest can fill them while the flows are borrowed.
+    fn take_batches(&mut self) -> (Batch<ExtractedRecord>, Batch<GapEvent>) {
+        let mut recs = std::mem::take(&mut self.rec_scratch);
+        let mut gaps = std::mem::take(&mut self.gap_scratch);
+        recs.clear();
+        gaps.clear();
+        (recs, gaps)
+    }
+
+    /// Admit one packet's gaps, then its records, and hand the batches
+    /// back for the next packet.
+    fn admit_batches(&mut self, recs: Batch<ExtractedRecord>, gaps: Batch<GapEvent>) {
+        self.note_gaps(gaps.as_slice());
+        self.note_records(recs.as_slice());
+        self.rec_scratch = recs;
+        self.gap_scratch = gaps;
+    }
+
+    fn note_gaps(&mut self, gaps: &[GapEvent]) {
+        for g in gaps {
             self.stats.gaps = self.stats.gaps.saturating_add(1);
             self.gap_times.admit_evict(g.resume_time);
             self.loss_windows.admit_evict((g.last_time, g.resume_time));
@@ -543,7 +562,7 @@ impl OnlineDecoder {
         }
     }
 
-    fn note_records(&mut self, recs: Batch<ExtractedRecord>) {
+    fn note_records(&mut self, recs: &[ExtractedRecord]) {
         // Two passes: admission filtering first, then one batch
         // classification over the survivors' contiguous length array —
         // the dominant classifier runs its branch-lean kernel instead
@@ -556,7 +575,7 @@ impl OnlineDecoder {
         admitted.clear();
         lengths.clear();
         classes.clear();
-        for r in recs.into_vec() {
+        for &r in recs {
             self.stats.records = self.stats.records.saturating_add(1);
             self.records_seen = self.records_seen.saturating_add(1);
             if r.content_type != ContentType::ApplicationData {
