@@ -6,7 +6,7 @@
 //! artifact the attack pipeline consumes.
 
 use crate::pcap::{PcapPacket, PcapReader, PcapWriter};
-use wm_net::headers::{build_frame, parse_frame, FlowId, TcpFlags};
+use wm_net::headers::{build_frame, parse_frame, set_frame_ip_id, FlowId, TcpFlags};
 use wm_net::tcp::TcpSegment;
 use wm_net::time::SimTime;
 use wm_telemetry::Registry;
@@ -116,8 +116,16 @@ impl Trace {
 /// knows the link's tap-loss probability). The tap serializes real
 /// frames so the resulting trace is indistinguishable from a wire
 /// capture.
+///
+/// A simulator learns when the tap sees a segment as it sends it, not
+/// in time order. [`Tap::record_unordered`] frames such a segment at
+/// once, from the borrowed segment; [`Tap::assemble`] later puts the
+/// frames in time order and numbers their IP ids in that order.
 pub struct Tap {
     trace: Trace,
+    /// Frames recorded by [`Tap::record_unordered`], awaiting
+    /// [`Tap::assemble`] (their IP ids are placeholders until then).
+    unordered: Vec<CapturedPacket>,
     next_ip_id: u16,
     /// Frame bytes recorded so far (frames are `trace.packets.len()`).
     bytes_tapped: u64,
@@ -128,6 +136,7 @@ impl Tap {
     pub fn new() -> Self {
         Tap {
             trace: Trace::new(),
+            unordered: Vec::new(),
             next_ip_id: 1,
             bytes_tapped: 0,
             events: None,
@@ -170,6 +179,51 @@ impl Tap {
         );
         self.bytes_tapped += frame.len() as u64;
         self.trace.packets.push(CapturedPacket { time, frame });
+    }
+
+    /// Record a TCP segment observed at `time`, whose place among the
+    /// frames is settled by [`Tap::assemble`].
+    pub fn record_unordered(&mut self, time: SimTime, seg: &TcpSegment) {
+        let ts = (time.micros() / 1_000) as u32; // ms-granularity TSval
+        let frame = build_frame(
+            &seg.flow,
+            seg.seq,
+            seg.ack,
+            seg.flags,
+            ts,
+            0,
+            0,
+            &seg.payload,
+        );
+        self.bytes_tapped += frame.len() as u64;
+        self.unordered.push(CapturedPacket { time, frame });
+    }
+
+    /// Append the [`Tap::record_unordered`] frames in time order (ties
+    /// in recording order), with the control segments of `controls`
+    /// (sorted by time) recorded ahead of data frames of the same time
+    /// or later, and number the IP ids in that order — the capture
+    /// recording everything in time order would have made.
+    pub fn assemble(&mut self, controls: &[(SimTime, FlowId, u32, u32, TcpFlags)]) {
+        let mut data = std::mem::take(&mut self.unordered);
+        data.sort_by_key(|p| p.time);
+        self.trace.packets.reserve(data.len() + controls.len());
+        let mut controls = controls.iter().peekable();
+        for mut packet in data {
+            while let Some(&&(ct, flow, seq, ack, flags)) = controls.peek() {
+                if ct > packet.time {
+                    break;
+                }
+                self.record_control(ct, &flow, seq, ack, flags);
+                controls.next();
+            }
+            set_frame_ip_id(&mut packet.frame, self.next_ip_id);
+            self.next_ip_id = self.next_ip_id.wrapping_add(1);
+            self.trace.packets.push(packet);
+        }
+        for &(ct, flow, seq, ack, flags) in controls {
+            self.record_control(ct, &flow, seq, ack, flags);
+        }
     }
 
     /// Record a bare control segment (SYN/SYN-ACK/FIN) with no payload.

@@ -6,6 +6,7 @@
 //! fix targets — and gives the server the matching decoder where one is
 //! needed (compression).
 
+use std::borrow::Cow;
 use wm_http::Request;
 
 use crate::lz;
@@ -61,41 +62,41 @@ impl Defense {
         }
     }
 
-    /// Rewrite a state-report request into TLS-record writes.
+    /// Rewrite a state-report request into TLS-record writes, borrowing
+    /// the request's bytes where the defense leaves them as they are.
     // wm-lint: response-path
-    pub fn encode(self, req: &Request) -> Vec<Vec<u8>> {
+    pub fn encode(self, req: &Request) -> Vec<Cow<'_, [u8]>> {
         match self {
-            Defense::None => vec![req.to_bytes()],
+            Defense::None => vec![Cow::Borrowed(req.as_bytes())],
             Defense::Split { max } => {
-                let bytes = req.to_bytes();
                 let max = max.max(64);
-                bytes.chunks(max).map(<[u8]>::to_vec).collect()
+                req.as_bytes().chunks(max).map(Cow::Borrowed).collect()
             }
             Defense::Compress => {
-                let compressed = lz::compress(&req.body);
-                let wrapped = Request {
-                    method: req.method.clone(),
-                    path: req.path.clone(),
-                    headers: {
-                        let mut h = req.headers.clone();
-                        h.push(("Content-Encoding".into(), "wm-lz".into()));
-                        h
-                    },
-                    body: compressed,
-                };
-                vec![wrapped.to_bytes()]
+                let compressed = lz::compress(req.body());
+                let wrapped = req
+                    .clone()
+                    .with_body(&compressed)
+                    .header("Content-Encoding", "wm-lz");
+                vec![Cow::Owned(wrapped.into_bytes())]
             }
             Defense::PadWithDummies { size } => Defense::PadToConstant { size }.encode(req),
-            Defense::PadToConstant { size } => vec![pad_to_constant(req, size).to_bytes()],
+            Defense::PadToConstant { size } => {
+                vec![Cow::Owned(pad_to_constant(req, size).into_bytes())]
+            }
         }
     }
 
-    /// Server-side body decoder matching this defense (only compression
-    /// changes the body bytes).
-    pub fn decode_body(self, headers_encoding: Option<&str>, body: &[u8]) -> Option<Vec<u8>> {
+    /// Server-side body decoder matching this defense: only compression
+    /// changes the body bytes, and a body that does not decompress is
+    /// left as it arrived.
+    pub fn decode_body<'b>(self, headers_encoding: Option<&str>, body: &'b [u8]) -> Cow<'b, [u8]> {
         match (self, headers_encoding) {
-            (Defense::Compress, Some("wm-lz")) => lz::decompress(body),
-            _ => Some(body.to_vec()),
+            (Defense::Compress, Some("wm-lz")) => match lz::decompress(body) {
+                Some(decoded) => Cow::Owned(decoded),
+                None => Cow::Borrowed(body),
+            },
+            _ => Cow::Borrowed(body),
         }
     }
 }
@@ -107,30 +108,26 @@ impl Defense {
 /// bytes can grow the Content-Length digits.
 // wm-lint: quantizer(reason = "maps every state report to the single constant wire length `size`; the lengths read here choose the pad amount, not the emitted size")
 fn pad_to_constant(req: &Request, size: usize) -> Request {
-    let base = req.clone();
-    let base_len = base.serialized_len();
-    let mut padded = base;
-    if size > base_len {
-        let mut pad = size - base_len;
-        for _ in 0..4 {
-            let mut body = req.body.clone();
-            body.extend(std::iter::repeat_n(b' ', pad));
-            let candidate = Request {
-                method: req.method.clone(),
-                path: req.path.clone(),
-                headers: req.headers.clone(),
-                body,
-            };
-            let got = candidate.serialized_len();
-            if got == size {
-                padded = candidate;
-                break;
-            }
-            pad = (pad as i64 + size as i64 - got as i64).max(0) as usize;
-            padded = candidate;
-        }
+    let base_len = req.serialized_len();
+    if size <= base_len {
+        return req.clone();
     }
-    padded
+    let body = req.body();
+    let mut pad = size - base_len;
+    let mut chosen = pad;
+    for _ in 0..4 {
+        chosen = pad;
+        let got = req.serialized_len_with_body(body.len() + pad);
+        if got == size {
+            break;
+        }
+        pad = (pad as i64 + size as i64 - got as i64).max(0) as usize;
+    }
+    req.clone().with_body_fn(body.len() + chosen, |dst| {
+        let (kept, spaces) = dst.split_at_mut(body.len());
+        kept.copy_from_slice(body);
+        spaces.fill(b' ');
+    })
 }
 
 #[cfg(test)]
@@ -149,14 +146,14 @@ mod tests {
         };
         Request::new("POST", "/interact/state")
             .header("Host", "www.netflix.com")
-            .body(body)
+            .with_body(&body)
     }
 
     #[test]
     fn none_is_identity() {
         let req = state_req(1000);
         let writes = Defense::None.encode(&req);
-        assert_eq!(writes, vec![req.to_bytes()]);
+        assert_eq!(writes, vec![req.as_bytes().to_vec()]);
     }
 
     #[test]
@@ -167,7 +164,7 @@ mod tests {
         assert!(writes.iter().all(|w| w.len() <= 500));
         // Reassembled stream is unchanged — the server parses normally.
         let glued: Vec<u8> = writes.concat();
-        assert_eq!(glued, req.to_bytes());
+        assert_eq!(glued, req.as_bytes());
     }
 
     #[test]
@@ -175,15 +172,14 @@ mod tests {
         let req = state_req(2000);
         let writes = Defense::Compress.encode(&req);
         assert_eq!(writes.len(), 1);
-        assert!(writes[0].len() < req.to_bytes().len());
+        assert!(writes[0].len() < req.serialized_len());
         // Parse the rewritten request and invert the body.
         let mut parser = wm_http::RequestParser::new();
-        let parsed = parser.feed(&writes[0]).unwrap().remove(0);
+        let parsed = parser.feed(&writes[0]).unwrap().next().unwrap();
         assert_eq!(parsed.header_value("content-encoding"), Some("wm-lz"));
-        let decoded = Defense::Compress
-            .decode_body(parsed.header_value("content-encoding"), &parsed.body)
-            .unwrap();
-        assert_eq!(decoded, req.body);
+        let decoded =
+            Defense::Compress.decode_body(parsed.header_value("content-encoding"), parsed.body());
+        assert_eq!(&*decoded, req.body());
     }
 
     #[test]
@@ -200,17 +196,17 @@ mod tests {
     fn pad_smaller_than_request_is_noop() {
         let req = state_req(1500);
         let writes = Defense::PadToConstant { size: 100 }.encode(&req);
-        assert_eq!(writes[0], req.to_bytes());
+        assert_eq!(writes[0], req.as_bytes());
     }
 
     #[test]
     fn padded_body_still_parses_as_json_with_trailing_ws() {
-        let req = Request::new("POST", "/interact/state").body(b"{\"a\":1}".to_vec());
+        let req = Request::new("POST", "/interact/state").with_body(b"{\"a\":1}");
         let writes = Defense::PadToConstant { size: 600 }.encode(&req);
         let mut parser = wm_http::RequestParser::new();
-        let parsed = parser.feed(&writes[0]).unwrap().remove(0);
+        let parsed = parser.feed(&writes[0]).unwrap().next().unwrap();
         assert!(
-            wm_json::parse(&parsed.body).is_ok(),
+            wm_json::parse(parsed.body()).is_ok(),
             "trailing spaces tolerated"
         );
     }

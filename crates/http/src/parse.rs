@@ -6,7 +6,7 @@
 //! `Content-Length` framing is supported (all simulated traffic uses
 //! it; see the crate docs).
 
-use crate::{Request, Response};
+use crate::{RequestView, ResponseView};
 
 /// A malformed message head, as a typed error.
 ///
@@ -50,17 +50,18 @@ pub enum ParsePhase {
     Body,
 }
 
-/// A message kind the accumulator frames: built from its start line,
-/// then given its headers and body.
-trait Message: Sized {
-    /// Parse the start line (`Err` is the message's parse error).
-    fn from_start_line(line: &str) -> Result<Self, ParseError>;
-    fn set_headers(&mut self, headers: Vec<(String, String)>);
-    fn set_body(&mut self, body: Vec<u8>);
+/// Start-line rules of one message kind.
+trait StartLine {
+    /// Check a framed head's start line (`Err` is the message's parse
+    /// error).
+    fn check(line: &str) -> Result<(), ParseError>;
 }
 
-impl Message for Request {
-    fn from_start_line(line: &str) -> Result<Self, ParseError> {
+struct RequestLine;
+struct StatusLine;
+
+impl StartLine for RequestLine {
+    fn check(line: &str) -> Result<(), ParseError> {
         let mut parts = line.split(' ');
         let method = parts.next().unwrap_or("");
         let path = parts.next().unwrap_or("");
@@ -68,159 +69,154 @@ impl Message for Request {
         if method.is_empty() || path.is_empty() || !version.starts_with("HTTP/1.") {
             return Err(ParseError::MalformedRequestLine(line.to_owned()));
         }
-        Ok(Request::new(method, path))
-    }
-
-    fn set_headers(&mut self, headers: Vec<(String, String)>) {
-        self.headers = headers;
-    }
-
-    fn set_body(&mut self, body: Vec<u8>) {
-        self.body = body;
+        Ok(())
     }
 }
 
-impl Message for Response {
-    fn from_start_line(line: &str) -> Result<Self, ParseError> {
+impl StartLine for StatusLine {
+    fn check(line: &str) -> Result<(), ParseError> {
         let mut parts = line.splitn(3, ' ');
         let version = parts.next().unwrap_or("");
-        let status: u16 = parts
-            .next()
-            .unwrap_or("")
-            .parse()
-            .map_err(|_| ParseError::BadStatusLine(line.to_owned()))?;
-        let reason = parts.next().unwrap_or("");
-        if !version.starts_with("HTTP/1.") {
+        let status = parts.next().unwrap_or("").parse::<u16>();
+        if status.is_err() || !version.starts_with("HTTP/1.") {
             return Err(ParseError::BadStatusLine(line.to_owned()));
         }
-        Ok(Response::new(status, reason))
-    }
-
-    fn set_headers(&mut self, headers: Vec<(String, String)>) {
-        self.headers = headers;
-    }
-
-    fn set_body(&mut self, body: Vec<u8>) {
-        self.body = body;
+        Ok(())
     }
 }
 
-/// Bodies are preallocated up to this many bytes; a larger
-/// (peer-supplied) `Content-Length` grows the buffer as bytes arrive.
-const MAX_BODY_PREALLOC: usize = 1 << 20;
+/// One framed message: where its head and body sit in the buffer.
+#[derive(Debug, Clone, Copy)]
+struct Framed {
+    head_start: usize,
+    head_end: usize,
+    body_start: usize,
+    body_end: usize,
+}
 
 /// Generic head-then-body accumulator shared by both parsers.
+///
+/// Every fed byte lands in one buffer. A feed frames what it can; the
+/// messages it completes are lent out as views of that buffer until
+/// the next feed, which drops their bytes first.
 ///
 /// Errors come in two tiers, as the framing requires. A head that is
 /// not UTF-8 or has a bad `Content-Length` cannot be framed: the feed
 /// stops there and returns the error, dropping the rest of its bytes.
 /// A bad start line or header line still frames (its body is consumed),
-/// so it is carried as that message's `Err` and reported by the parser
-/// after the whole feed is framed.
-struct Accumulator<M> {
-    /// Head bytes of a message whose `\r\n\r\n` has not arrived yet.
+/// so it is kept as the feed's error and reported after the whole feed
+/// is framed. Either way the feed hands out no messages.
+struct Accumulator<K> {
     buf: Vec<u8>,
-    /// The message whose body is being accumulated (`None` while
-    /// reading a head).
-    pending: Option<Result<M, ParseError>>,
-    body_remaining: usize,
-    body: Vec<u8>,
+    /// Messages the latest feed completed.
+    framed: Vec<Framed>,
+    /// The first message-level error of the latest feed.
+    error: Option<ParseError>,
+    /// Start of the message in progress.
+    start: usize,
+    /// No `\r\n\r\n` of the head in progress starts before here.
+    scan: usize,
+    /// The message in progress once its head is framed: the head's
+    /// verdict, its end, and the body's extent.
+    pending: Option<(Result<(), ParseError>, Framed)>,
+    kind: std::marker::PhantomData<K>,
 }
 
-impl<M: Message> Accumulator<M> {
+impl<K: StartLine> Accumulator<K> {
     fn new() -> Self {
         Accumulator {
             buf: Vec::new(),
+            framed: Vec::new(),
+            error: None,
+            start: 0,
+            scan: 0,
             pending: None,
-            body_remaining: 0,
-            body: Vec::new(),
+            kind: std::marker::PhantomData,
         }
     }
 
-    /// Feed bytes, appending every message they complete to `out`.
-    fn feed(
-        &mut self,
-        mut bytes: &[u8],
-        out: &mut Vec<Result<M, ParseError>>,
-    ) -> Result<(), ParseError> {
+    /// Feed bytes; on success, [`Accumulator::framed`] lists the
+    /// messages they complete.
+    fn feed(&mut self, bytes: &[u8]) -> Result<(), ParseError> {
+        self.forget_framed();
+        self.buf.extend_from_slice(bytes);
         loop {
-            if self.pending.is_some() {
-                let take = bytes.len().min(self.body_remaining);
-                let (chunk, rest) = bytes.split_at_checked(take).unwrap_or((bytes, &[]));
-                self.body.extend_from_slice(chunk);
-                self.body_remaining -= chunk.len();
-                bytes = rest;
-                if self.body_remaining > 0 {
-                    return Ok(());
+            if let Some((_, f)) = &self.pending {
+                if self.buf.len() < f.body_end {
+                    break;
                 }
-                self.complete(out);
+                if let Some((verdict, f)) = self.pending.take() {
+                    match verdict {
+                        Ok(()) => self.framed.push(f),
+                        Err(e) => {
+                            self.error.get_or_insert(e);
+                        }
+                    }
+                    self.start = f.body_end;
+                    self.scan = f.body_end;
+                }
             }
-            if bytes.is_empty() {
-                return Ok(());
+            let from = self.scan.max(self.start);
+            let Some(at) = find_double_crlf(self.buf.get(from..).unwrap_or_default()) else {
+                // A terminator may still start in the last three bytes.
+                self.scan = self.buf.len().saturating_sub(3).max(self.start);
+                break;
+            };
+            let head_end = from + at;
+            let head = self.buf.get(self.start..head_end).unwrap_or_default();
+            let (verdict, length) = match frame_head::<K>(head) {
+                Ok(framed) => framed,
+                Err(e) => {
+                    self.reset();
+                    return Err(e);
+                }
+            };
+            let body_start = head_end + 4;
+            self.pending = Some((
+                verdict,
+                Framed {
+                    head_start: self.start,
+                    head_end,
+                    body_start,
+                    body_end: body_start.saturating_add(length),
+                },
+            ));
+        }
+        match self.error.take() {
+            Some(e) => {
+                self.framed.clear();
+                Err(e)
             }
-            if self.buf.is_empty() {
-                // Nothing buffered: parse the head in place.
-                let Some(end) = find_double_crlf(bytes) else {
-                    self.buf.extend_from_slice(bytes);
-                    return Ok(());
-                };
-                let (head, rest) = bytes.split_at(end);
-                bytes = rest.get(4..).unwrap_or_default();
-                self.begin(parse_head(head)?);
-            } else {
-                // A head begun by an earlier feed: only the new bytes
-                // (and the three before them) can complete it.
-                let Some((head_end, rest)) = self.find_buffered_head_end(bytes) else {
-                    self.buf.extend_from_slice(bytes);
-                    return Ok(());
-                };
-                bytes = rest;
-                let parsed = parse_head(self.buf.get(..head_end).unwrap_or_default());
-                self.buf.clear();
-                self.begin(parsed?);
-            }
-            if self.body_remaining == 0 {
-                // Zero-length bodies complete without further bytes.
-                self.complete(out);
-            }
+            None => Ok(()),
         }
     }
 
-    /// Complete a head buffered across feeds with the new `bytes`:
-    /// appends the rest of the head to `buf` and returns the head's
-    /// length there plus the bytes that follow the `\r\n\r\n`.
-    fn find_buffered_head_end<'b>(&mut self, bytes: &'b [u8]) -> Option<(usize, &'b [u8])> {
-        // The terminator may start in the last three buffered bytes
-        // (`buf` itself holds none); earlier starts win.
-        for k in (1..=3).rev() {
-            let (in_buf, in_bytes) = CRLF2.split_at(k);
-            if self.buf.ends_with(in_buf) && bytes.starts_with(in_bytes) {
-                let head_end = self.buf.len() - k;
-                return Some((head_end, bytes.get(4 - k..).unwrap_or_default()));
-            }
+    /// Drop the bytes of messages handed out by the previous feed.
+    fn forget_framed(&mut self) {
+        self.framed.clear();
+        let gone = self.start;
+        if gone == 0 {
+            return;
         }
-        let end = find_double_crlf(bytes)?;
-        self.buf
-            .extend_from_slice(bytes.get(..end).unwrap_or_default());
-        Some((self.buf.len(), bytes.get(end + 4..).unwrap_or_default()))
+        self.buf.drain(..gone);
+        self.start = 0;
+        self.scan -= gone;
+        if let Some((_, f)) = &mut self.pending {
+            f.head_start -= gone;
+            f.head_end -= gone;
+            f.body_start -= gone;
+            f.body_end -= gone;
+        }
     }
 
-    /// Enter the body phase of a parsed head.
-    fn begin(&mut self, (message, length): (Result<M, ParseError>, usize)) {
-        self.body_remaining = length;
-        self.body = Vec::with_capacity(length.min(MAX_BODY_PREALLOC));
-        self.pending = Some(message);
-    }
-
-    /// The pending message's body is complete: emit it.
-    fn complete(&mut self, out: &mut Vec<Result<M, ParseError>>) {
-        let body = std::mem::take(&mut self.body);
-        if let Some(message) = self.pending.take() {
-            out.push(message.map(|mut m| {
-                m.set_body(body);
-                m
-            }));
-        }
+    /// Forget everything buffered (an unframeable head).
+    fn reset(&mut self) {
+        self.buf.clear();
+        self.framed.clear();
+        self.error = None;
+        self.start = 0;
+        self.scan = 0;
+        self.pending = None;
     }
 
     fn phase(&self) -> ParsePhase {
@@ -230,42 +226,41 @@ impl<M: Message> Accumulator<M> {
             ParsePhase::Headers
         }
     }
+
+    fn messages(&self) -> Messages<'_> {
+        Messages {
+            buf: &self.buf,
+            framed: self.framed.iter(),
+        }
+    }
 }
 
-/// Parse a complete head into its message and body length. The outer
-/// `Err` is for heads that cannot be framed (see [`Accumulator`]).
-fn parse_head<M: Message>(head: &[u8]) -> Result<(Result<M, ParseError>, usize), ParseError> {
+/// Frame a complete head: its verdict (start line and header lines)
+/// and its body length. The outer `Err` is for heads that cannot be
+/// framed (see [`Accumulator`]).
+fn frame_head<K: StartLine>(head: &[u8]) -> Result<(Result<(), ParseError>, usize), ParseError> {
     let head = std::str::from_utf8(head).map_err(|_| ParseError::NonUtf8Head)?;
-    let mut lines = CrlfLines(Some(head));
+    let mut lines = CrlfLines::new(head);
     let start = lines.next().unwrap_or_default();
-    let mut headers = Vec::with_capacity(head.bytes().filter(|&b| b == b'\n').count());
     let mut malformed = None;
     let mut length = None;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
+            // wm-lint: allow(hotpath/alloc, reason = "error path: a malformed line is quoted in the error, once per bad message")
             malformed.get_or_insert_with(|| ParseError::MalformedHeaderLine(line.to_owned()));
             continue;
         };
-        let (name, value) = (name.trim(), value.trim());
-        if name.eq_ignore_ascii_case("content-length") {
-            // The first Content-Length frames the body; the builders
-            // re-add it on serialization, so it is not kept.
-            if length.is_none() {
-                let parsed = value.parse::<usize>();
-                length = Some(parsed.map_err(|_| ParseError::BadContentLength(value.to_owned()))?);
-            }
-        } else if malformed.is_none() {
-            headers.push((name.to_owned(), value.to_owned()));
+        // The first Content-Length frames the body; the builders
+        // re-add it on serialization, so views do not list it.
+        if length.is_none() && name.trim().eq_ignore_ascii_case("content-length") {
+            let value = value.trim();
+            let parsed = value.parse::<usize>();
+            // wm-lint: allow(hotpath/alloc, reason = "error path: the bad value is quoted in the error, once per unframeable head")
+            length = Some(parsed.map_err(|_| ParseError::BadContentLength(value.to_owned()))?);
         }
     }
-    let message = M::from_start_line(start).and_then(|mut m| match malformed {
-        Some(e) => Err(e),
-        None => {
-            m.set_headers(headers);
-            Ok(m)
-        }
-    });
-    Ok((message, length.unwrap_or(0)))
+    let verdict = K::check(start).and_then(|()| malformed.map_or(Ok(()), Err));
+    Ok((verdict, length.unwrap_or(0)))
 }
 
 const CRLF2: &[u8; 4] = b"\r\n\r\n";
@@ -288,7 +283,13 @@ fn find_double_crlf(buf: &[u8]) -> Option<usize> {
 }
 
 /// `str::split("\r\n")` without the substring searcher's setup cost.
-struct CrlfLines<'a>(Option<&'a str>);
+pub(crate) struct CrlfLines<'a>(Option<&'a str>);
+
+impl<'a> CrlfLines<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        CrlfLines(Some(text))
+    }
+}
 
 impl<'a> Iterator for CrlfLines<'a> {
     type Item = &'a str;
@@ -311,9 +312,73 @@ impl<'a> Iterator for CrlfLines<'a> {
     }
 }
 
+/// The framed messages of one feed, as (head, body) borrows.
+struct Messages<'a> {
+    buf: &'a [u8],
+    framed: std::slice::Iter<'a, Framed>,
+}
+
+impl<'a> Iterator for Messages<'a> {
+    type Item = (&'a str, &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let f = self.framed.next()?;
+        let head = self.buf.get(f.head_start..f.head_end).unwrap_or_default();
+        // Framing checked the head is UTF-8.
+        let head = std::str::from_utf8(head).unwrap_or_default();
+        Some((
+            head,
+            self.buf.get(f.body_start..f.body_end).unwrap_or_default(),
+        ))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.framed.size_hint()
+    }
+}
+
+/// The requests one [`RequestParser::feed`] completed, borrowed from
+/// the parser's buffer.
+pub struct Requests<'a>(Messages<'a>);
+
+impl<'a> Iterator for Requests<'a> {
+    type Item = RequestView<'a>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0
+            .next()
+            .map(|(head, body)| RequestView::new(head, body))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Requests<'_> {}
+
+/// The responses one [`ResponseParser::feed`] completed.
+pub struct Responses<'a>(Messages<'a>);
+
+impl<'a> Iterator for Responses<'a> {
+    type Item = ResponseView<'a>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0
+            .next()
+            .map(|(head, body)| ResponseView::new(head, body))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Responses<'_> {}
+
 /// Incremental request parser (server side).
 pub struct RequestParser {
-    acc: Accumulator<Request>,
+    acc: Accumulator<RequestLine>,
 }
 
 impl RequestParser {
@@ -328,11 +393,12 @@ impl RequestParser {
         self.acc.phase()
     }
 
-    /// Feed stream bytes; returns the requests completed by this feed.
-    pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Request>, ParseError> {
-        let mut out = Vec::new();
-        self.acc.feed(bytes, &mut out)?;
-        out.into_iter().collect()
+    /// Feed stream bytes; returns the requests completed by this feed,
+    /// valid until the next one.
+    // wm-lint: hotpath
+    pub fn feed(&mut self, bytes: &[u8]) -> Result<Requests<'_>, ParseError> {
+        self.acc.feed(bytes)?;
+        Ok(Requests(self.acc.messages()))
     }
 }
 
@@ -344,7 +410,7 @@ impl Default for RequestParser {
 
 /// Incremental response parser (client side).
 pub struct ResponseParser {
-    acc: Accumulator<Response>,
+    acc: Accumulator<StatusLine>,
 }
 
 impl ResponseParser {
@@ -358,11 +424,12 @@ impl ResponseParser {
         self.acc.phase()
     }
 
-    /// Feed stream bytes; returns the responses completed by this feed.
-    pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Response>, ParseError> {
-        let mut out = Vec::new();
-        self.acc.feed(bytes, &mut out)?;
-        out.into_iter().collect()
+    /// Feed stream bytes; returns the responses completed by this feed,
+    /// valid until the next one.
+    // wm-lint: hotpath
+    pub fn feed(&mut self, bytes: &[u8]) -> Result<Responses<'_>, ParseError> {
+        self.acc.feed(bytes)?;
+        Ok(Responses(self.acc.messages()))
     }
 }
 
@@ -375,61 +442,100 @@ impl Default for ResponseParser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Request, Response};
+
+    /// Every request one feed completes, as (method, path, headers, body).
+    type Fields = (String, String, Vec<(String, String)>, Vec<u8>);
+
+    fn requests(p: &mut RequestParser, bytes: &[u8]) -> Vec<Fields> {
+        p.feed(bytes)
+            .unwrap()
+            .map(|r| {
+                let headers = r
+                    .headers()
+                    .map(|(n, v)| (n.to_owned(), v.to_owned()))
+                    .collect();
+                (
+                    r.method().into(),
+                    r.path().into(),
+                    headers,
+                    r.body().to_vec(),
+                )
+            })
+            .collect()
+    }
+
+    fn fields(req: &Request) -> Fields {
+        let mut p = RequestParser::new();
+        let mut got = requests(&mut p, req.as_bytes());
+        assert_eq!(got.len(), 1);
+        got.remove(0)
+    }
 
     #[test]
     fn request_roundtrip() {
         let req = Request::new("POST", "/api/state")
             .header("Host", "www.netflix.com")
             .header("X-Esn", "NFCDIE-02-XYZ")
-            .body(b"{\"event\":1}".to_vec());
-        let mut p = RequestParser::new();
-        let got = p.feed(&req.to_bytes()).unwrap();
-        assert_eq!(got, vec![req]);
+            .with_body(b"{\"event\":1}");
+        let (method, path, headers, body) = fields(&req);
+        assert_eq!((method.as_str(), path.as_str()), ("POST", "/api/state"));
+        assert_eq!(
+            headers,
+            [
+                ("Host".to_owned(), "www.netflix.com".to_owned()),
+                ("X-Esn".to_owned(), "NFCDIE-02-XYZ".to_owned())
+            ]
+        );
+        assert_eq!(body, req.body());
     }
 
     #[test]
     fn response_roundtrip() {
         let resp = Response::ok()
             .header("Content-Type", "application/json")
-            .body(b"ok".to_vec());
+            .with_body(b"ok");
         let mut p = ResponseParser::new();
-        let got = p.feed(&resp.to_bytes()).unwrap();
-        assert_eq!(got, vec![resp]);
+        let got: Vec<_> = p.feed(resp.as_bytes()).unwrap().collect();
+        assert_eq!(got.len(), 1);
+        assert_eq!((got[0].status(), got[0].reason()), (200, "OK"));
+        assert_eq!(
+            got[0].headers().collect::<Vec<_>>(),
+            [("Content-Type", "application/json")]
+        );
+        assert_eq!(got[0].body(), b"ok");
     }
 
     #[test]
     fn byte_at_a_time() {
         let req = Request::new("GET", "/chunk/42").header("Host", "nflx");
-        let bytes = req.to_bytes();
         let mut p = RequestParser::new();
         let mut got = Vec::new();
-        for b in &bytes {
-            got.extend(p.feed(std::slice::from_ref(b)).unwrap());
+        for b in req.as_bytes() {
+            got.extend(requests(&mut p, std::slice::from_ref(b)));
         }
-        assert_eq!(got, vec![req]);
+        assert_eq!(got, [fields(&req)]);
     }
 
     #[test]
     fn pipelined_messages() {
         let a = Request::new("GET", "/a");
-        let b = Request::new("POST", "/b").body(b"xyz".to_vec());
-        let mut wire = a.to_bytes();
-        wire.extend(b.to_bytes());
+        let b = Request::new("POST", "/b").with_body(b"xyz");
+        let mut wire = a.as_bytes().to_vec();
+        wire.extend_from_slice(b.as_bytes());
         let mut p = RequestParser::new();
-        let got = p.feed(&wire).unwrap();
-        assert_eq!(got, vec![a, b]);
+        assert_eq!(requests(&mut p, &wire), [fields(&a), fields(&b)]);
     }
 
     #[test]
     fn body_split_across_feeds() {
-        let req = Request::new("POST", "/s").body(vec![b'q'; 1000]);
-        let bytes = req.to_bytes();
+        let req = Request::new("POST", "/s").with_body(&[b'q'; 1000]);
+        let bytes = req.as_bytes();
         let mut p = RequestParser::new();
-        let first = p.feed(&bytes[..bytes.len() - 500]).unwrap();
-        assert!(first.is_empty());
+        assert!(requests(&mut p, &bytes[..bytes.len() - 500]).is_empty());
         assert_eq!(p.phase(), ParsePhase::Body);
-        let second = p.feed(&bytes[bytes.len() - 500..]).unwrap();
-        assert_eq!(second, vec![req]);
+        let second = requests(&mut p, &bytes[bytes.len() - 500..]);
+        assert_eq!(second, [fields(&req)]);
     }
 
     #[test]
@@ -447,11 +553,24 @@ mod tests {
     #[test]
     fn zero_length_body_completes_without_more_bytes() {
         let mut p = ResponseParser::new();
-        let got = p
+        let got: Vec<_> = p
             .feed(b"HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n")
-            .unwrap();
+            .unwrap()
+            .collect();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].status, 204);
-        assert!(got[0].body.is_empty());
+        assert_eq!(got[0].status(), 204);
+        assert!(got[0].body().is_empty());
+    }
+
+    #[test]
+    fn a_feed_forgets_the_messages_of_the_last_one() {
+        let one = Request::new("GET", "/x").header("Host", "h");
+        let mut p = RequestParser::new();
+        let mut wire = one.as_bytes().to_vec();
+        wire.extend_from_slice(&one.as_bytes()[..5]);
+        assert_eq!(p.feed(&wire).unwrap().len(), 1);
+        assert_eq!(p.feed(&one.as_bytes()[5..]).unwrap().len(), 1);
+        // Only the unfinished head ever outlives a feed.
+        assert!(p.acc.buf.len() <= one.as_bytes().len());
     }
 }

@@ -84,7 +84,9 @@ pub struct V2Config {
 /// the sim's reused-buffer record drain, TLS sealing/framing into
 /// caller buffers, online ingest, the offline record extraction (its
 /// gap resync included) and header walk over borrowed capture pieces,
-/// and the LUT length classifier.
+/// the LUT length classifier, and the victim's HTTP framing: the
+/// builders that append header lines and bodies to a message's one
+/// buffer, and both incremental parsers.
 /// The per-session drivers above them (dataset runner, session setup)
 /// are deliberately *not* roots: they allocate once per session, and
 /// annotating them would drown the per-record envelope in noise.
@@ -96,6 +98,10 @@ pub const EXPECTED_HOTPATH_ROOTS: &[&str] = &[
     "wm_capture::extract_records",
     "wm_capture::HeaderWalk::feed",
     "wm_core::IntervalClassifier::classify_lengths",
+    "wm_http::Wire::push_header",
+    "wm_http::Wire::set_body",
+    "wm_http::RequestParser::feed",
+    "wm_http::ResponseParser::feed",
 ];
 
 /// Victim-side response construction: every wire length the attacker

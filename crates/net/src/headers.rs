@@ -298,6 +298,19 @@ pub fn build_frame(
     frame
 }
 
+/// Rewrite the IPv4 identification of a frame built by [`build_frame`]
+/// (and its header checksum to match), as if it had been built with
+/// `ip_id`. Frames too short to hold an IPv4 header are left alone.
+pub fn set_frame_ip_id(frame: &mut [u8], ip_id: u16) {
+    let Some(ip) = frame.get_mut(ETH_HEADER_LEN..ETH_HEADER_LEN + IPV4_HEADER_LEN) else {
+        return;
+    };
+    ip[4..6].copy_from_slice(&ip_id.to_be_bytes());
+    ip[10..12].copy_from_slice(&[0, 0]);
+    let csum = internet_checksum(ip);
+    ip[10..12].copy_from_slice(&csum.to_be_bytes());
+}
+
 /// Parse a frame built by [`build_frame`] back into
 /// `(flow, tcp_header, payload)`.
 pub fn parse_frame(frame: &[u8]) -> Option<(FlowId, TcpHeader, &[u8])> {
@@ -410,6 +423,18 @@ mod tests {
         assert_eq!(missing2, 300);
         // Clip inside the headers: even the lossy parser gives up.
         assert_eq!(parse_frame_lossy(&frame[..40]), None);
+    }
+
+    #[test]
+    fn set_ip_id_matches_building_with_it() {
+        for id in [0u16, 1, 0x1234, u16::MAX] {
+            let mut frame = build_frame(&flow(), 7, 9, TcpFlags::ACK, 3, 0, 0, b"abc");
+            set_frame_ip_id(&mut frame, id);
+            assert_eq!(
+                frame,
+                build_frame(&flow(), 7, 9, TcpFlags::ACK, 3, 0, id, b"abc")
+            );
+        }
     }
 
     #[test]

@@ -45,6 +45,8 @@ pub struct TcpSegment {
 }
 
 /// What an endpoint wants the session layer to do after an interaction.
+/// The caller owns it and hands it to every [`TcpEndpoint::on_segment`],
+/// so its buffers are reused across segments.
 #[derive(Debug, Default)]
 pub struct TcpActions {
     /// Application bytes newly delivered in order.
@@ -81,6 +83,9 @@ pub struct TcpEndpoint {
     reasm: BTreeMap<u64, Vec<u8>>,
     rto: Duration,
     rto_deadline: Option<SimTime>,
+    /// Payload buffers of this endpoint's consumed segments, handed
+    /// back by [`TcpEndpoint::recycle`]; later segments copy into them.
+    spare: Vec<Vec<u8>>,
     /// Counters for trace statistics.
     pub stats: TcpStats,
 }
@@ -111,6 +116,7 @@ impl TcpEndpoint {
             reasm: BTreeMap::new(),
             rto: INITIAL_RTO,
             rto_deadline: None,
+            spare: Vec::new(),
             stats: TcpStats::default(),
         }
     }
@@ -135,11 +141,12 @@ impl TcpEndpoint {
         (self.send_base + self.send_buf.len() as u64 - self.snd_nxt) as usize
     }
 
-    /// Copy `len` buffered bytes starting at absolute offset `abs`.
-    fn copy_out(&self, abs: u64, len: usize) -> Vec<u8> {
+    /// Copy `len` (at most [`MSS`]) buffered bytes starting at absolute
+    /// offset `abs`, into a recycled payload buffer when one is spare.
+    fn copy_out(&mut self, abs: u64, len: usize) -> Vec<u8> {
         let start = (abs - self.send_base) as usize;
         let (front, back) = self.send_buf.as_slices();
-        let mut out = Vec::with_capacity(len);
+        let mut out = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(MSS));
         if start < front.len() {
             let end = (start + len).min(front.len());
             out.extend_from_slice(front.get(start..end).unwrap_or_default());
@@ -148,6 +155,16 @@ impl TcpEndpoint {
         let rest = len - out.len();
         out.extend_from_slice(back.get(from_back..from_back + rest).unwrap_or_default());
         out
+    }
+
+    /// Hand back the payload buffer of a segment this endpoint sent,
+    /// once the segment is consumed (delivered or lost), for a later
+    /// segment to reuse. Buffers beyond a send window's worth are freed.
+    pub fn recycle(&mut self, mut payload: Vec<u8>) {
+        if payload.capacity() >= MSS && self.spare.len() < SEND_WINDOW / MSS {
+            payload.clear();
+            self.spare.push(payload);
+        }
     }
 
     /// Whether every written byte has been acknowledged.
@@ -160,13 +177,13 @@ impl TcpEndpoint {
         self.rto_deadline
     }
 
-    /// Segmentize buffered bytes up to the send window.
+    /// Segmentize buffered bytes up to the send window, appending the
+    /// segments to `out`.
     ///
     /// Multiple preceding `write` calls coalesce here — two small TLS
     /// records written back-to-back ride in one segment, exactly the
     /// write-coalescing real stacks exhibit.
-    pub fn flush(&mut self, now: SimTime) -> Vec<TcpSegment> {
-        let mut out = Vec::new();
+    pub fn flush(&mut self, now: SimTime, out: &mut Vec<TcpSegment>) {
         while self.unsent() > 0 && (self.snd_nxt - self.snd_una) as usize + MSS <= SEND_WINDOW {
             let take = self.unsent().min(MSS);
             let abs = self.snd_nxt;
@@ -197,12 +214,13 @@ impl TcpEndpoint {
         if !self.inflight.is_empty() && self.rto_deadline.is_none() {
             self.rto_deadline = Some(now + self.rto);
         }
-        out
     }
 
-    /// Handle an arriving segment; returns delivered bytes and replies.
-    pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) -> TcpActions {
-        let mut actions = TcpActions::default();
+    /// Handle an arriving segment: `actions` is cleared, then filled
+    /// with the delivered bytes and the replies.
+    pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment, actions: &mut TcpActions) {
+        actions.delivered.clear();
+        actions.to_send.clear();
 
         // --- Receive path: payload into the reassembly buffer. ---
         if !seg.payload.is_empty() {
@@ -260,19 +278,19 @@ impl TcpEndpoint {
                     Some(now + self.rto)
                 };
                 // The window may have opened.
-                actions.to_send.extend(self.flush(now));
+                self.flush(now, &mut actions.to_send);
             }
         }
-        actions
     }
 
     /// Retransmission timer fired (session layer filters stale timers by
-    /// comparing against [`TcpEndpoint::rto_deadline`]).
-    pub fn on_rto(&mut self, now: SimTime) -> Vec<TcpSegment> {
+    /// comparing against [`TcpEndpoint::rto_deadline`]): appends the
+    /// retransmission, if any, to `out`.
+    pub fn on_rto(&mut self, now: SimTime, out: &mut Vec<TcpSegment>) {
         let wire_ack = self.wire_ack();
         let Some((&abs, inflight)) = self.inflight.iter_mut().next() else {
             self.rto_deadline = None;
-            return Vec::new();
+            return;
         };
         inflight.retransmitted = true;
         let len = inflight.len;
@@ -289,7 +307,7 @@ impl TcpEndpoint {
         // Exponential backoff.
         self.rto = Duration((self.rto.micros() * 2).min(MAX_RTO.micros()));
         self.rto_deadline = Some(now + self.rto);
-        vec![seg]
+        out.push(seg);
     }
 
     fn wire_seq(&self, abs: u64) -> u32 {
@@ -369,6 +387,24 @@ mod tests {
         )
     }
 
+    fn flush(ep: &mut TcpEndpoint, now: SimTime) -> Vec<TcpSegment> {
+        let mut out = Vec::new();
+        ep.flush(now, &mut out);
+        out
+    }
+
+    fn on_segment(ep: &mut TcpEndpoint, now: SimTime, seg: &TcpSegment) -> TcpActions {
+        let mut actions = TcpActions::default();
+        ep.on_segment(now, seg, &mut actions);
+        actions
+    }
+
+    fn on_rto(ep: &mut TcpEndpoint, now: SimTime) -> Vec<TcpSegment> {
+        let mut out = Vec::new();
+        ep.on_rto(now, &mut out);
+        out
+    }
+
     /// Deliver segments between endpoints until quiescent (no loss).
     fn pump(
         a: &mut TcpEndpoint,
@@ -385,12 +421,12 @@ mod tests {
                 break;
             }
             for seg in std::mem::take(&mut to_b) {
-                let act = b.on_segment(now, &seg);
+                let act = on_segment(b, now, &seg);
                 b_bytes.extend(act.delivered);
                 to_a.extend(act.to_send);
             }
             for seg in std::mem::take(&mut to_a) {
-                let act = a.on_segment(now, &seg);
+                let act = on_segment(a, now, &seg);
                 a_bytes.extend(act.delivered);
                 to_b.extend(act.to_send);
             }
@@ -402,7 +438,7 @@ mod tests {
     fn simple_transfer() {
         let (mut a, mut b) = pair();
         a.write(b"hello tcp world");
-        let segs = a.flush(SimTime(1));
+        let segs = flush(&mut a, SimTime(1));
         assert_eq!(segs.len(), 1);
         assert!(segs[0].flags.psh);
         let (_, b_bytes) = pump(&mut a, &mut b, segs);
@@ -415,7 +451,7 @@ mod tests {
         let (mut a, _) = pair();
         let data = vec![7u8; MSS * 2 + 100];
         a.write(&data);
-        let segs = a.flush(SimTime(1));
+        let segs = flush(&mut a, SimTime(1));
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].payload.len(), MSS);
         assert_eq!(segs[1].payload.len(), MSS);
@@ -429,7 +465,7 @@ mod tests {
         let (mut a, mut b) = pair();
         a.write(b"first record ");
         a.write(b"second record");
-        let segs = a.flush(SimTime(1));
+        let segs = flush(&mut a, SimTime(1));
         assert_eq!(segs.len(), 1, "small writes coalesce into one segment");
         let (_, b_bytes) = pump(&mut a, &mut b, segs);
         assert_eq!(b_bytes, b"first record second record");
@@ -440,12 +476,12 @@ mod tests {
         let (mut a, mut b) = pair();
         a.write(&vec![1u8; MSS]);
         a.write(&vec![2u8; MSS]);
-        let mut segs = a.flush(SimTime(1));
+        let mut segs = flush(&mut a, SimTime(1));
         segs.reverse(); // deliver out of order
         let now = SimTime(2);
-        let first = b.on_segment(now, &segs[0]);
+        let first = on_segment(&mut b, now, &segs[0]);
         assert!(first.delivered.is_empty(), "gap: nothing delivered yet");
-        let second = b.on_segment(now, &segs[1]);
+        let second = on_segment(&mut b, now, &segs[1]);
         assert_eq!(second.delivered.len(), 2 * MSS);
         assert_eq!(&second.delivered[..MSS], &vec![1u8; MSS][..]);
     }
@@ -454,10 +490,10 @@ mod tests {
     fn retransmission_recovers_loss() {
         let (mut a, mut b) = pair();
         a.write(b"lost in transit");
-        let segs = a.flush(SimTime(1));
+        let segs = flush(&mut a, SimTime(1));
         assert_eq!(a.rto_deadline(), Some(SimTime(1) + INITIAL_RTO));
         drop(segs); // the link ate it
-        let rtx = a.on_rto(SimTime(1) + INITIAL_RTO);
+        let rtx = on_rto(&mut a, SimTime(1) + INITIAL_RTO);
         assert_eq!(rtx.len(), 1);
         assert!(rtx[0].retransmit);
         assert_eq!(rtx[0].payload, b"lost in transit");
@@ -471,11 +507,11 @@ mod tests {
     fn rto_backoff_doubles_and_caps() {
         let (mut a, _) = pair();
         a.write(b"x");
-        a.flush(SimTime(0));
+        flush(&mut a, SimTime(0));
         let mut last_gap = Duration::ZERO;
         for _ in 0..8 {
             let now = a.rto_deadline().unwrap();
-            a.on_rto(now);
+            on_rto(&mut a, now);
             let gap = a.rto_deadline().unwrap().since(now);
             assert!(gap >= last_gap);
             assert!(gap <= MAX_RTO);
@@ -488,11 +524,11 @@ mod tests {
     fn duplicate_delivery_is_idempotent() {
         let (mut a, mut b) = pair();
         a.write(b"only once");
-        let segs = a.flush(SimTime(1));
+        let segs = flush(&mut a, SimTime(1));
         let now = SimTime(2);
-        let first = b.on_segment(now, &segs[0]);
+        let first = on_segment(&mut b, now, &segs[0]);
         assert_eq!(first.delivered, b"only once");
-        let dup = b.on_segment(now, &segs[0]);
+        let dup = on_segment(&mut b, now, &segs[0]);
         assert!(dup.delivered.is_empty(), "duplicate must not re-deliver");
         assert_eq!(b.stats.duplicate_segments, 1);
     }
@@ -501,7 +537,7 @@ mod tests {
     fn window_limits_inflight() {
         let (mut a, _) = pair();
         a.write(&vec![0u8; SEND_WINDOW * 2]);
-        let segs = a.flush(SimTime(1));
+        let segs = flush(&mut a, SimTime(1));
         let inflight: usize = segs.iter().map(|s| s.payload.len()).sum();
         assert!(inflight <= SEND_WINDOW);
         assert!(a.outstanding() > inflight, "rest remains buffered");
@@ -511,7 +547,7 @@ mod tests {
     fn window_reopens_on_ack() {
         let (mut a, mut b) = pair();
         a.write(&vec![9u8; SEND_WINDOW + MSS]);
-        let segs = a.flush(SimTime(1));
+        let segs = flush(&mut a, SimTime(1));
         let (_, b_bytes) = pump(&mut a, &mut b, segs);
         assert_eq!(b_bytes.len(), SEND_WINDOW + MSS, "acks released the tail");
     }
@@ -523,8 +559,8 @@ mod tests {
         let b_data: Vec<u8> = (0..50_000u32).map(|i| (i % 241) as u8).collect();
         a.write(&a_data);
         b.write(&b_data);
-        let mut init = a.flush(SimTime(1));
-        init.extend(b.flush(SimTime(1)));
+        let mut init = flush(&mut a, SimTime(1));
+        init.extend(flush(&mut b, SimTime(1)));
         // pump handles "to b" first; split manually.
         let (to_b, to_a): (Vec<_>, Vec<_>) = init.into_iter().partition(|s| s.flow.dst_port == 443);
         let mut a_recv = Vec::new();
@@ -537,12 +573,12 @@ mod tests {
                 break;
             }
             for seg in std::mem::take(&mut qb) {
-                let act = b.on_segment(now, &seg);
+                let act = on_segment(&mut b, now, &seg);
                 b_recv.extend(act.delivered);
                 qa.extend(act.to_send);
             }
             for seg in std::mem::take(&mut qa) {
-                let act = a.on_segment(now, &seg);
+                let act = on_segment(&mut a, now, &seg);
                 a_recv.extend(act.delivered);
                 qb.extend(act.to_send);
             }

@@ -6,8 +6,20 @@
 
 use wm_net::headers::{build_frame, parse_frame, FlowId, TcpFlags, FRAME_OVERHEAD};
 use wm_net::rng::SimRng;
-use wm_net::tcp::{unwrap_u32, TcpEndpoint, TcpSegment, MSS};
+use wm_net::tcp::{unwrap_u32, TcpActions, TcpEndpoint, TcpSegment, MSS};
 use wm_net::time::SimTime;
+
+fn flush(ep: &mut TcpEndpoint, now: SimTime) -> Vec<TcpSegment> {
+    let mut out = Vec::new();
+    ep.flush(now, &mut out);
+    out
+}
+
+fn on_segment(ep: &mut TcpEndpoint, now: SimTime, seg: &TcpSegment) -> TcpActions {
+    let mut actions = TcpActions::default();
+    ep.on_segment(now, seg, &mut actions);
+    actions
+}
 
 fn arb_flow(rng: &mut SimRng) -> FlowId {
     FlowId {
@@ -110,7 +122,7 @@ fn tcp_delivers_any_stream() {
         for w in offsets.windows(2) {
             a.write(&data[w[0]..w[1]]);
         }
-        let mut to_b: Vec<TcpSegment> = a.flush(SimTime(1));
+        let mut to_b: Vec<TcpSegment> = flush(&mut a, SimTime(1));
         let mut to_a: Vec<TcpSegment> = Vec::new();
         let mut received = Vec::new();
         for _ in 0..10_000 {
@@ -118,12 +130,12 @@ fn tcp_delivers_any_stream() {
                 break;
             }
             for seg in std::mem::take(&mut to_b) {
-                let act = b.on_segment(SimTime(2), &seg);
+                let act = on_segment(&mut b, SimTime(2), &seg);
                 received.extend(act.delivered);
                 to_a.extend(act.to_send);
             }
             for seg in std::mem::take(&mut to_a) {
-                let act = a.on_segment(SimTime(2), &seg);
+                let act = on_segment(&mut a, SimTime(2), &seg);
                 to_b.extend(act.to_send);
             }
         }
@@ -150,7 +162,7 @@ fn tcp_reorder_invariant() {
         let mut a = TcpEndpoint::new(flow, 1, 2);
         let mut b = TcpEndpoint::new(flow.reversed(), 2, 1);
         a.write(&data);
-        let mut segs = a.flush(SimTime(1));
+        let mut segs = flush(&mut a, SimTime(1));
         // Fisher–Yates shuffle.
         for i in (1..segs.len()).rev() {
             let j = rng.uniform_u64(0, i as u64) as usize;
@@ -158,7 +170,7 @@ fn tcp_reorder_invariant() {
         }
         let mut received = Vec::new();
         for seg in &segs {
-            received.extend(b.on_segment(SimTime(2), seg).delivered);
+            received.extend(on_segment(&mut b, SimTime(2), seg).delivered);
         }
         assert_eq!(received, data, "case {case}");
     }
@@ -182,13 +194,13 @@ fn tcp_duplicate_invariant() {
         let mut a = TcpEndpoint::new(flow, 1, 2);
         let mut b = TcpEndpoint::new(flow.reversed(), 2, 1);
         a.write(&data);
-        let segs = a.flush(SimTime(1));
+        let segs = flush(&mut a, SimTime(1));
         let dup_idx = rng.uniform_u64(0, segs.len() as u64 - 1) as usize;
         let mut received = Vec::new();
         for (i, seg) in segs.iter().enumerate() {
-            received.extend(b.on_segment(SimTime(2), seg).delivered);
+            received.extend(on_segment(&mut b, SimTime(2), seg).delivered);
             if i == dup_idx {
-                received.extend(b.on_segment(SimTime(2), seg).delivered);
+                received.extend(on_segment(&mut b, SimTime(2), seg).delivered);
             }
         }
         assert_eq!(received, data, "case {case}");

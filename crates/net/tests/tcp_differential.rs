@@ -7,7 +7,8 @@
 //! duplication and reordering on the path, retransmission timers firing
 //! at their deadlines — and must emit the same segments, deliver the
 //! same bytes and report the same statistics and RTO deadlines at every
-//! step.
+//! step. The endpoint under test fills one reused set of output
+//! buffers, so a buffer it forgets to clear shows up as a difference.
 
 use wm_net::headers::FlowId;
 use wm_net::rng::SimRng;
@@ -298,8 +299,53 @@ macro_rules! endpoint {
     };
 }
 
-endpoint!(TcpEndpoint);
 endpoint!(reference::TcpEndpoint);
+
+/// The endpoint under test, driven through buffers reused across calls.
+struct Reused {
+    ep: TcpEndpoint,
+    segments: Vec<TcpSegment>,
+    actions: TcpActions,
+}
+
+impl Endpoint for Reused {
+    fn new(flow: FlowId, isn: u32, rcv_isn: u32) -> Self {
+        Reused {
+            ep: TcpEndpoint::new(flow, isn, rcv_isn),
+            segments: Vec::new(),
+            actions: TcpActions::default(),
+        }
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        self.ep.write(bytes)
+    }
+    fn flush(&mut self, now: SimTime) -> Vec<TcpSegment> {
+        self.segments.clear();
+        self.ep.flush(now, &mut self.segments);
+        self.segments.clone()
+    }
+    fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) -> TcpActions {
+        self.ep.on_segment(now, seg, &mut self.actions);
+        TcpActions {
+            delivered: self.actions.delivered.clone(),
+            to_send: self.actions.to_send.clone(),
+        }
+    }
+    fn on_rto(&mut self, now: SimTime) -> Vec<TcpSegment> {
+        self.segments.clear();
+        self.ep.on_rto(now, &mut self.segments);
+        self.segments.clone()
+    }
+    fn rto_deadline(&self) -> Option<SimTime> {
+        self.ep.rto_deadline()
+    }
+    fn outstanding(&self) -> usize {
+        self.ep.outstanding()
+    }
+    fn stats(&self) -> TcpStats {
+        self.ep.stats
+    }
+}
 
 const FLOW: FlowId = FlowId {
     src_ip: [10, 0, 0, 1],
@@ -399,7 +445,7 @@ fn scenario<E: Endpoint>(seed: u64, path: &Path) -> Vec<String> {
 }
 
 fn assert_same_scenario(seed: u64, path: &Path) {
-    let new = scenario::<TcpEndpoint>(seed, path);
+    let new = scenario::<Reused>(seed, path);
     let old = scenario::<reference::TcpEndpoint>(seed, path);
     for (i, (n, o)) in new.iter().zip(&old).enumerate() {
         assert_eq!(n, o, "seed {seed:#x}: first divergence at log line {i}");
@@ -456,7 +502,7 @@ fn scenarios_deliver_and_retransmit() {
         dup: 0.2,
         max_delay_us: 40_000,
     };
-    let log = scenario::<TcpEndpoint>(0x7CB1, &path);
+    let log = scenario::<Reused>(0x7CB1, &path);
     assert!(log.iter().any(|l| l.contains("retransmit: true")));
     assert!(log
         .iter()

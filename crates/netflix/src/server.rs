@@ -2,7 +2,7 @@
 
 use crate::manifest::Manifest;
 use std::sync::Arc;
-use wm_http::{Request, Response};
+use wm_http::{RequestView, Response};
 use wm_json::{parse, Value};
 use wm_story::{ChoicePointId, SegmentId, StoryGraph};
 use wm_telemetry::Registry;
@@ -158,18 +158,18 @@ impl NetflixServer {
 
     /// Handle one request.
     // wm-lint: response-path
-    pub fn handle(&mut self, req: &Request) -> Response {
+    pub fn handle(&mut self, req: RequestView<'_>) -> Response {
         self.stats.requests += 1;
-        let path = req.path.as_str();
+        let path = req.path();
         let (route, _query) = path.split_once('?').unwrap_or((path, ""));
-        match (req.method.as_str(), route) {
+        match (req.method(), route) {
             ("GET", "/manifest") => self.serve_manifest(),
             ("GET", p) if p.starts_with("/media/") => {
                 let resp = self.serve_chunk(path);
-                if resp.status == 200 {
+                if resp.status() == 200 {
                     self.stats.chunks_served += 1;
                     // wm-lint: allow(defense/length-taint, reason = "server-side byte counter over an already-built chunk body; feeds telemetry, never a wire field")
-                    self.stats.chunk_bytes += resp.body.len() as u64;
+                    self.stats.chunk_bytes += resp.body().len() as u64;
                 } else {
                     self.stats.rejected += 1;
                 }
@@ -179,15 +179,15 @@ impl NetflixServer {
             ("POST", "/interact/state-echo") => {
                 // Defense-injected dummy post: acknowledged, not logged.
                 self.stats.dummy_posts += 1;
-                Response::ok().body(b"{\"persisted\":true}".to_vec())
+                Response::ok().with_body(b"{\"persisted\":true}")
             }
             ("POST", "/log" | "/hb" | "/diag") => {
                 self.stats.background_posts += 1;
-                Response::ok().body(b"{\"logged\":true}".to_vec())
+                Response::ok().with_body(b"{\"logged\":true}")
             }
             _ => {
                 self.stats.rejected += 1;
-                Response::new(404, "Not Found").body(b"{}".to_vec())
+                Response::new(404, "Not Found").with_body(b"{}")
             }
         }
     }
@@ -195,32 +195,32 @@ impl NetflixServer {
     fn serve_manifest(&self) -> Response {
         Response::ok()
             .header("Content-Type", "application/json")
-            .body(wm_json::to_bytes(&self.manifest.to_json()))
+            .with_body(&wm_json::to_bytes(&self.manifest.to_json()))
     }
 
     /// `/media/<segment>/<chunk>?br=<bps>`
     fn serve_chunk(&self, path: &str) -> Response {
         let Some(parsed) = parse_chunk_path(path) else {
-            return Response::new(400, "Bad Request").body(b"{}".to_vec());
+            return Response::new(400, "Bad Request").with_body(b"{}");
         };
         let (seg_id, chunk_idx, bitrate) = parsed;
         if seg_id as usize >= self.graph.segments().len() {
-            return Response::new(404, "Not Found").body(b"{}".to_vec());
+            return Response::new(404, "Not Found").with_body(b"{}");
         }
         let seg = self.graph.segment(SegmentId(seg_id));
         let count = self.manifest.chunk_count(seg.duration_secs);
         if chunk_idx >= count || !self.manifest.ladder.contains(&bitrate) {
-            return Response::new(404, "Not Found").body(b"{}".to_vec());
+            return Response::new(404, "Not Found").with_body(b"{}");
         }
         let size = self
             .manifest
             .chunk_bytes(seg.duration_secs, chunk_idx, bitrate);
-        Response::ok()
+        Response::with_capacity(200, "OK", size)
             .header("Content-Type", "video/mp4")
-            .body(chunk_body(seg_id, chunk_idx, size))
+            .with_body_fn(size, |body| fill_chunk(seg_id, chunk_idx, body))
     }
 
-    fn handle_state(&mut self, req: &Request) -> Response {
+    fn handle_state(&mut self, req: RequestView<'_>) -> Response {
         if self.error_burst > 0 {
             self.error_burst -= 1;
             self.stats.deferred_posts += 1;
@@ -228,24 +228,24 @@ impl NetflixServer {
                 "netflix.state.deferred",
                 self.retry_after_secs as u64,
                 // wm-lint: allow(defense/length-taint, reason = "inbound request length into the ground-truth trace; the client already put it on the wire")
-                req.body.len() as u64,
+                req.body().len() as u64,
             );
             return Response::new(503, "Service Unavailable")
                 .header("Retry-After", &self.retry_after_secs.to_string())
-                .body(b"{\"error\":\"overloaded\"}".to_vec());
+                .with_body(b"{\"error\":\"overloaded\"}");
         }
-        let Ok(doc) = parse(&req.body) else {
+        let Ok(doc) = parse(req.body()) else {
             self.stats.rejected += 1;
             // wm-lint: allow(defense/length-taint, reason = "inbound request length into the ground-truth trace; the client already put it on the wire")
-            self.trace_instant("netflix.state.rejected", 400, req.body.len() as u64);
-            return Response::new(400, "Bad Request").body(b"{\"error\":\"json\"}".to_vec());
+            self.trace_instant("netflix.state.rejected", 400, req.body().len() as u64);
+            return Response::new(400, "Bad Request").with_body(b"{\"error\":\"json\"}");
         };
         // wm-lint: allow(defense/length-taint, reason = "schema validation of the inbound body length; decides accept/reject, not a response size")
-        let Some(entry) = self.validate_state(&doc, req.body.len()) else {
+        let Some(entry) = self.validate_state(&doc, req.body().len()) else {
             self.stats.rejected += 1;
             // wm-lint: allow(defense/length-taint, reason = "inbound request length into the ground-truth trace; the client already put it on the wire")
-            self.trace_instant("netflix.state.rejected", 422, req.body.len() as u64);
-            return Response::new(422, "Unprocessable").body(b"{\"error\":\"schema\"}".to_vec());
+            self.trace_instant("netflix.state.rejected", 422, req.body().len() as u64);
+            return Response::new(422, "Unprocessable").with_body(b"{\"error\":\"schema\"}");
         };
         // Idempotent persistence: a report's `seq` is its identity, so
         // retried or duplicated deliveries are acknowledged (the client
@@ -255,10 +255,10 @@ impl NetflixServer {
                 Ok(_) => {
                     self.stats.duplicate_posts += 1;
                     // wm-lint: allow(defense/length-taint, reason = "inbound request length into the ground-truth trace; the client already put it on the wire")
-                    self.trace_instant("netflix.state.dup", seq as u64, req.body.len() as u64);
+                    self.trace_instant("netflix.state.dup", seq as u64, req.body().len() as u64);
                     return Response::ok()
                         .header("Content-Type", "application/json")
-                        .body(b"{\"persisted\":true,\"dup\":true}".to_vec());
+                        .with_body(b"{\"persisted\":true,\"dup\":true}");
                 }
                 Err(pos) => self.seen_seqs.insert(pos, seq),
             }
@@ -282,7 +282,7 @@ impl NetflixServer {
         self.state_log.push(entry);
         Response::ok()
             .header("Content-Type", "application/json")
-            .body(b"{\"persisted\":true}".to_vec())
+            .with_body(b"{\"persisted\":true}")
     }
 
     /// Check the fields the real API would require and classify the
@@ -316,15 +316,13 @@ impl NetflixServer {
 }
 
 /// Deterministic, cheap chunk payload (not all-zero so compression-style
-/// countermeasures cannot trivially collapse it).
-fn chunk_body(seg: u16, idx: u32, size: usize) -> Vec<u8> {
+/// countermeasures cannot trivially collapse it), written in place.
+fn fill_chunk(seg: u16, idx: u32, body: &mut [u8]) {
     let seed = (seg as u32) << 16 | (idx & 0xffff);
-    (0..size)
-        .map(|i| {
-            let x = (i as u32).wrapping_mul(2654435761).wrapping_add(seed);
-            (x >> 24) as u8
-        })
-        .collect()
+    for (i, b) in body.iter_mut().enumerate() {
+        let x = (i as u32).wrapping_mul(2654435761).wrapping_add(seed);
+        *b = (x >> 24) as u8;
+    }
 }
 
 /// Parse `/media/<seg>/<chunk>?br=<bps>`.
@@ -343,6 +341,7 @@ fn parse_chunk_path(path: &str) -> Option<(u16, u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wm_http::Request;
     use wm_story::bandersnatch::{bandersnatch, tiny_film};
 
     fn server() -> NetflixServer {
@@ -380,9 +379,9 @@ mod tests {
     #[test]
     fn serves_manifest() {
         let mut s = server();
-        let resp = s.handle(&Request::new("GET", "/manifest"));
-        assert_eq!(resp.status, 200);
-        let m = Manifest::from_json(&parse(&resp.body).unwrap()).unwrap();
+        let resp = s.handle(Request::new("GET", "/manifest").view());
+        assert_eq!(resp.status(), 200);
+        let m = Manifest::from_json(&parse(resp.body()).unwrap()).unwrap();
         assert_eq!(m.media_scale, 1000);
         assert_eq!(m.ladder, crate::manifest::BITRATE_LADDER.to_vec());
     }
@@ -390,9 +389,9 @@ mod tests {
     #[test]
     fn serves_chunks_with_correct_sizes() {
         let mut s = server();
-        let resp = s.handle(&Request::new("GET", "/media/0/0?br=3000000"));
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.body.len(), 750); // 750 kB / 1000
+        let resp = s.handle(Request::new("GET", "/media/0/0?br=3000000").view());
+        assert_eq!(resp.status(), 200);
+        assert_eq!(resp.body().len(), 750); // 750 kB / 1000
     }
 
     #[test]
@@ -405,18 +404,26 @@ mod tests {
             "/media/0/0",               // missing query
             "/media/x/y?br=3000000",    // junk ids
         ] {
-            let resp = s.handle(&Request::new("GET", path));
-            assert_ne!(resp.status, 200, "{path}");
+            let resp = s.handle(Request::new("GET", path).view());
+            assert_ne!(resp.status(), 200, "{path}");
         }
     }
 
     #[test]
     fn logs_type1_and_type2() {
         let mut s = server();
-        let r1 = s.handle(&Request::new("POST", "/interact/state").body(state_body(2, 6, false)));
-        assert_eq!(r1.status, 200);
-        let r2 = s.handle(&Request::new("POST", "/interact/state").body(state_body(2, 6, true)));
-        assert_eq!(r2.status, 200);
+        let r1 = s.handle(
+            Request::new("POST", "/interact/state")
+                .with_body(&state_body(2, 6, false))
+                .view(),
+        );
+        assert_eq!(r1.status(), 200);
+        let r2 = s.handle(
+            Request::new("POST", "/interact/state")
+                .with_body(&state_body(2, 6, true))
+                .view(),
+        );
+        assert_eq!(r2.status(), 200);
         assert_eq!(s.state_log().len(), 2);
         assert_eq!(s.state_log()[0].kind, StateEventKind::Type1);
         assert_eq!(s.state_log()[1].kind, StateEventKind::Type2);
@@ -427,22 +434,37 @@ mod tests {
     fn rejects_malformed_state() {
         let mut s = server();
         // Broken JSON.
-        let r = s.handle(&Request::new("POST", "/interact/state").body(b"{oops".to_vec()));
-        assert_eq!(r.status, 400);
+        let r = s.handle(
+            Request::new("POST", "/interact/state")
+                .with_body(b"{oops")
+                .view(),
+        );
+        assert_eq!(r.status(), 400);
         // Valid JSON, missing fields.
-        let r =
-            s.handle(&Request::new("POST", "/interact/state").body(b"{\"esn\":\"x\"}".to_vec()));
-        assert_eq!(r.status, 422);
+        let r = s.handle(
+            Request::new("POST", "/interact/state")
+                .with_body(b"{\"esn\":\"x\"}")
+                .view(),
+        );
+        assert_eq!(r.status(), 422);
         // Out-of-range choice point.
-        let r = s.handle(&Request::new("POST", "/interact/state").body(state_body(99, 0, false)));
-        assert_eq!(r.status, 422);
+        let r = s.handle(
+            Request::new("POST", "/interact/state")
+                .with_body(&state_body(99, 0, false))
+                .view(),
+        );
+        assert_eq!(r.status(), 422);
         // Type-2 without the prefetch accounting.
         let mut doc = parse(&state_body(1, 3, false)).unwrap();
         if let Value::Object(members) = &mut doc {
             members.push(("interactionDiff".into(), Value::object(vec![])));
         }
-        let r = s.handle(&Request::new("POST", "/interact/state").body(wm_json::to_bytes(&doc)));
-        assert_eq!(r.status, 422);
+        let r = s.handle(
+            Request::new("POST", "/interact/state")
+                .with_body(&wm_json::to_bytes(&doc))
+                .view(),
+        );
+        assert_eq!(r.status(), 422);
         assert!(s.state_log().is_empty());
     }
 
@@ -458,15 +480,26 @@ mod tests {
     fn duplicate_seq_is_acknowledged_but_logged_once() {
         let mut s = server();
         let body = state_body_with_seq(2, 6, 5);
-        let r1 = s.handle(&Request::new("POST", "/interact/state").body(body.clone()));
-        assert_eq!(r1.status, 200);
-        let r2 = s.handle(&Request::new("POST", "/interact/state").body(body));
-        assert_eq!(r2.status, 200, "duplicates must still be acknowledged");
+        let r1 = s.handle(
+            Request::new("POST", "/interact/state")
+                .with_body(&body)
+                .view(),
+        );
+        assert_eq!(r1.status(), 200);
+        let r2 = s.handle(
+            Request::new("POST", "/interact/state")
+                .with_body(&body)
+                .view(),
+        );
+        assert_eq!(r2.status(), 200, "duplicates must still be acknowledged");
         assert_eq!(s.state_log().len(), 1, "persisted exactly once");
         // A different seq is a different report.
-        let r3 =
-            s.handle(&Request::new("POST", "/interact/state").body(state_body_with_seq(2, 6, 6)));
-        assert_eq!(r3.status, 200);
+        let r3 = s.handle(
+            Request::new("POST", "/interact/state")
+                .with_body(&state_body_with_seq(2, 6, 6))
+                .view(),
+        );
+        assert_eq!(r3.status(), 200);
         assert_eq!(s.state_log().len(), 2);
     }
 
@@ -475,15 +508,27 @@ mod tests {
         let mut s = server();
         s.arm_state_errors(2, 3);
         let body = state_body_with_seq(2, 6, 1);
-        let r1 = s.handle(&Request::new("POST", "/interact/state").body(body.clone()));
-        assert_eq!(r1.status, 503);
+        let r1 = s.handle(
+            Request::new("POST", "/interact/state")
+                .with_body(&body)
+                .view(),
+        );
+        assert_eq!(r1.status(), 503);
         assert_eq!(r1.header_value("Retry-After"), Some("3"));
-        let r2 = s.handle(&Request::new("POST", "/interact/state").body(body.clone()));
-        assert_eq!(r2.status, 503);
+        let r2 = s.handle(
+            Request::new("POST", "/interact/state")
+                .with_body(&body)
+                .view(),
+        );
+        assert_eq!(r2.status(), 503);
         assert!(s.state_log().is_empty(), "503'd posts are not persisted");
         // Burst exhausted: the retry now lands.
-        let r3 = s.handle(&Request::new("POST", "/interact/state").body(body));
-        assert_eq!(r3.status, 200);
+        let r3 = s.handle(
+            Request::new("POST", "/interact/state")
+                .with_body(&body)
+                .view(),
+        );
+        assert_eq!(r3.status(), 200);
         assert_eq!(s.state_log().len(), 1);
     }
 
@@ -491,23 +536,32 @@ mod tests {
     fn telemetry_endpoints_accept_anything() {
         let mut s = server();
         for path in ["/log", "/hb", "/diag"] {
-            let r = s.handle(&Request::new("POST", path).body(vec![0xab; 100]));
-            assert_eq!(r.status, 200, "{path}");
+            let r = s.handle(Request::new("POST", path).with_body(&[0xab; 100]).view());
+            assert_eq!(r.status(), 200, "{path}");
         }
     }
 
     #[test]
     fn unknown_route_is_404() {
         let mut s = server();
-        assert_eq!(s.handle(&Request::new("GET", "/nope")).status, 404);
-        assert_eq!(s.handle(&Request::new("PUT", "/manifest")).status, 404);
+        assert_eq!(s.handle(Request::new("GET", "/nope").view()).status(), 404);
+        assert_eq!(
+            s.handle(Request::new("PUT", "/manifest").view()).status(),
+            404
+        );
     }
 
     #[test]
     fn chunk_bodies_deterministic_and_nontrivial() {
         let mut s = NetflixServer::new(Arc::new(tiny_film()), ServerConfig { media_scale: 100 });
-        let a = s.handle(&Request::new("GET", "/media/0/0?br=235000")).body;
-        let b = s.handle(&Request::new("GET", "/media/0/0?br=235000")).body;
+        let a = s
+            .handle(Request::new("GET", "/media/0/0?br=235000").view())
+            .body()
+            .to_vec();
+        let b = s
+            .handle(Request::new("GET", "/media/0/0?br=235000").view())
+            .body()
+            .to_vec();
         assert_eq!(a, b);
         let distinct: std::collections::HashSet<u8> = a.iter().copied().collect();
         assert!(distinct.len() > 16, "chunk bytes should not be constant");

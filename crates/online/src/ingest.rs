@@ -412,10 +412,7 @@ impl FlowIngest {
         if !self.carry.absorb(data) {
             // Carry overflow: whatever is buffered cannot be a live
             // record prefix worth more than the bytes arriving now.
-            self.stats.skipped_bytes = self
-                .stats
-                .skipped_bytes
-                .saturating_add(self.carry.len() as u64);
+            // Abandoning it counts its bytes as skipped.
             self.reset_carry_to(off);
             if !self.carry.absorb(data) {
                 // The segment alone exceeds the budget: write it off.
@@ -679,6 +676,29 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert_eq!(recs.as_slice()[1].length, 80);
         assert!(ing.stats().resyncs >= 1);
+    }
+
+    #[test]
+    fn carry_overflow_counts_abandoned_bytes_once() {
+        let limits = IngestLimits {
+            max_carry_bytes: 64,
+            ..IngestLimits::default()
+        };
+        let mut ing = FlowIngest::new(limits);
+        let mut recs = Batch::new();
+        let mut gaps = Batch::new();
+        // A record far longer than the carry: its first 40 bytes wait
+        // in the carry, the next 40 overflow it.
+        let long = record(1_000);
+        ing.accept_segment(SimTime(1_000), 0, &long[..40], &mut recs, &mut gaps);
+        assert_eq!(ing.stats().skipped_bytes, 0);
+        ing.accept_segment(SimTime(2_000), 40, &long[40..80], &mut recs, &mut gaps);
+        assert!(recs.is_empty());
+        assert_eq!(
+            ing.stats().skipped_bytes,
+            40,
+            "the abandoned carry is skipped once"
+        );
     }
 
     #[test]

@@ -15,16 +15,17 @@
 //! Background traffic (telemetry, heartbeats, diagnostics bursts) runs
 //! throughout and populates the "others" record-length class.
 //!
-//! The player never blocks: every entry point returns a
-//! [`PlayerActions`] bundle of requests to transmit, timers to arm and
-//! ground-truth events, which the session layer applies.
+//! The player never blocks: every entry point fills the caller's
+//! [`PlayerActions`] bundle (cleared first) with requests to transmit
+//! and timers to arm, which the session layer applies.
 
 use crate::abr::ThroughputEstimator;
 use crate::profile::Profile;
 use crate::state::{StateJsonBuilder, Type1Fields, Type2Fields};
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::Arc;
-use wm_http::{Request, Response};
+use wm_http::{Request, ResponseView};
 use wm_net::queue::TimerKind;
 use wm_net::rng::SimRng;
 use wm_net::time::{Duration, SimTime};
@@ -154,12 +155,22 @@ pub struct OutRequest {
     pub split_flush: bool,
 }
 
-/// Everything a player entry point wants done.
+/// Everything a player entry point wants done. The caller owns it and
+/// hands it to every entry point, which clears it before filling it, so
+/// its buffers are reused across calls.
 #[derive(Debug, Default)]
 pub struct PlayerActions {
     pub requests: Vec<OutRequest>,
     pub timers: Vec<(SimTime, TimerKind)>,
     pub done: bool,
+}
+
+impl PlayerActions {
+    fn clear(&mut self) {
+        self.requests.clear();
+        self.timers.clear();
+        self.done = false;
+    }
 }
 
 /// Ground-truth events (the dataset's labels).
@@ -338,6 +349,9 @@ pub struct Player {
     refetch_manifest: bool,
     disconnected_at: Option<SimTime>,
 
+    /// Reused buffer for chunk request paths.
+    path_buf: String,
+
     truth: Vec<TruthEvent>,
     done: bool,
     stats: PlayerStats,
@@ -384,6 +398,7 @@ impl Player {
             delay_next_state: None,
             refetch_manifest: false,
             disconnected_at: None,
+            path_buf: String::new(),
             truth: Vec::new(),
             done: false,
             stats: PlayerStats::default(),
@@ -448,10 +463,10 @@ impl Player {
     }
 
     /// Kick off the session: fetch the manifest, arm background timers.
-    pub fn start(&mut self, now: SimTime) -> PlayerActions {
-        let mut actions = PlayerActions::default();
+    pub fn start(&mut self, now: SimTime, actions: &mut PlayerActions) {
+        actions.clear();
         let req = self.manifest_request();
-        self.push_request(&mut actions, now, req, RequestKind::Manifest);
+        self.push_request(actions, now, req, RequestKind::Manifest);
         let jitter = self.rng.uniform_f64(0.0, 5.0);
         actions.timers.push((
             now + self.scaled_secs(self.cfg.telemetry_period_secs as f64 + jitter),
@@ -465,27 +480,32 @@ impl Player {
             now + self.scaled_secs(self.cfg.diag_period_secs as f64),
             timer_kinds::DIAG,
         ));
-        actions
     }
 
     /// A response arrived (responses are FIFO on the connection).
-    pub fn on_response(&mut self, now: SimTime, resp: &Response) -> PlayerActions {
-        let mut actions = PlayerActions::default();
+    /// Like every entry point, it clears `actions`, then fills it.
+    pub fn on_response(
+        &mut self,
+        now: SimTime,
+        resp: ResponseView<'_>,
+        actions: &mut PlayerActions,
+    ) {
+        actions.clear();
         if self.done {
-            return actions;
+            return;
         }
         let Some((kind, sent_at)) = self.in_flight.pop_front() else {
-            return actions; // spurious (session layer bug); ignore
+            return; // spurious (session layer bug); ignore
         };
         match kind {
             RequestKind::Manifest => {
-                let doc = wm_json::parse(&resp.body).expect("manifest must parse");
+                let doc = wm_json::parse(resp.body()).expect("manifest must parse");
                 let manifest = Manifest::from_json(&doc).expect("manifest schema");
                 self.bitrate =
                     manifest.ladder[self.cfg.abr_start_rung.min(manifest.ladder.len() - 1)];
                 self.manifest = Some(manifest);
                 self.phase = PlayerPhase::Streaming;
-                self.begin_segment(now, self.graph.start(), &mut actions);
+                self.begin_segment(now, self.graph.start(), actions);
             }
             RequestKind::Chunk {
                 segment,
@@ -494,7 +514,7 @@ impl Player {
             } => {
                 self.stats.chunks_received += 1;
                 self.est
-                    .record(resp.body.len(), now.since(sent_at).micros());
+                    .record(resp.body().len(), now.since(sent_at).micros());
                 let m = self.manifest.as_ref().expect("streaming implies manifest");
                 self.bitrate =
                     self.est
@@ -511,12 +531,12 @@ impl Player {
                     };
                     self.downloaded_content_ms += span_ms;
                 }
-                self.pump_downloads(now, &mut actions);
+                self.pump_downloads(now, actions);
             }
             // State reports must be acknowledged; a 503 arms the
             // backoff retry machinery.
             RequestKind::StateType1 | RequestKind::StateType2 => {
-                self.on_state_response(now, kind, resp, &mut actions);
+                self.on_state_response(now, kind, resp, actions);
             }
             // Response bodies of background traffic are ignored; their
             // purpose is the bytes on the wire.
@@ -525,22 +545,21 @@ impl Player {
             | RequestKind::Heartbeat
             | RequestKind::Diagnostic => {}
         }
-        actions
     }
 
     /// A timer fired.
-    pub fn on_timer(&mut self, now: SimTime, kind: TimerKind) -> PlayerActions {
-        let mut actions = PlayerActions::default();
+    pub fn on_timer(&mut self, now: SimTime, kind: TimerKind, actions: &mut PlayerActions) {
+        actions.clear();
         if self.done {
-            return actions;
+            return;
         }
         match kind {
-            timer_kinds::QUESTION => self.on_question(now, &mut actions),
-            timer_kinds::VIEWER_DECIDES => self.on_decision(now, &mut actions),
-            timer_kinds::SEGMENT_END => self.on_segment_end(now, &mut actions),
-            timer_kinds::BUFFER => self.pump_downloads(now, &mut actions),
+            timer_kinds::QUESTION => self.on_question(now, actions),
+            timer_kinds::VIEWER_DECIDES => self.on_decision(now, actions),
+            timer_kinds::SEGMENT_END => self.on_segment_end(now, actions),
+            timer_kinds::BUFFER => self.pump_downloads(now, actions),
             timer_kinds::TELEMETRY => {
-                self.send_telemetry(now, &mut actions);
+                self.send_telemetry(now, actions);
                 let jitter = self.rng.uniform_f64(-5.0, 5.0);
                 actions.timers.push((
                     now + self.scaled_secs(self.cfg.telemetry_period_secs as f64 + jitter),
@@ -548,25 +567,24 @@ impl Player {
                 ));
             }
             timer_kinds::HEARTBEAT => {
-                self.send_heartbeat(now, &mut actions);
+                self.send_heartbeat(now, actions);
                 actions.timers.push((
                     now + self.scaled_secs(self.cfg.heartbeat_period_secs as f64),
                     timer_kinds::HEARTBEAT,
                 ));
             }
             timer_kinds::DIAG => {
-                self.send_diag(now, &mut actions);
+                self.send_diag(now, actions);
                 actions.timers.push((
                     now + self.scaled_secs(self.cfg.diag_period_secs as f64),
                     timer_kinds::DIAG,
                 ));
             }
-            timer_kinds::STATE_RETRY => self.retry_front(now, &mut actions),
-            timer_kinds::STATE_TIMEOUT => self.check_state_timeout(now, &mut actions),
-            timer_kinds::DELAYED_POST => self.flush_delayed(now, &mut actions),
+            timer_kinds::STATE_RETRY => self.retry_front(now, actions),
+            timer_kinds::STATE_TIMEOUT => self.check_state_timeout(now, actions),
+            timer_kinds::DELAYED_POST => self.flush_delayed(now, actions),
             _ => {}
         }
-        actions
     }
 
     // ----- playback ---------------------------------------------------
@@ -705,7 +723,7 @@ impl Player {
                         .header("User-Agent", self.profile.user_agent())
                         .header("Content-Type", "application/json")
                         .header("Cookie", self.json.cookie())
-                        .body(telemetry_body(body_len));
+                        .with_body_fn(body_len, fill_telemetry_body);
                     self.push_state_request(actions, now, req, RequestKind::DummyReport);
                 }
             }
@@ -865,8 +883,14 @@ impl Player {
             }
         }
         self.dl_queue.pop_front();
-        let path = format!("/media/{}/{}?br={}", next.segment.0, next.idx, self.bitrate);
-        let req = Request::new("GET", &path)
+        self.path_buf.clear();
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            self.path_buf,
+            "/media/{}/{}?br={}",
+            next.segment.0, next.idx, self.bitrate
+        );
+        let req = Request::new("GET", &self.path_buf)
             .header("Host", "www.netflix.com")
             .header("User-Agent", self.profile.user_agent())
             .header("Accept", "*/*")
@@ -950,7 +974,7 @@ impl Player {
             }
             body_len = (body_len as i64 + plain_target as i64 - total as i64).max(2) as usize;
         }
-        base.body(telemetry_body(body_len))
+        base.with_body_fn(body_len, fill_telemetry_body)
     }
 
     // ----- request plumbing ---------------------------------------------
@@ -1029,7 +1053,7 @@ impl Player {
                 RequestKind::StateType2 => "player.state.type2",
                 _ => "player.state.type1",
             };
-            self.trace_instant(now, name, copies as u64, request.body.len() as u64);
+            self.trace_instant(now, name, copies as u64, request.body().len() as u64);
             self.unacked.push_back(UnackedState {
                 kind,
                 request: request.clone(),
@@ -1102,7 +1126,7 @@ impl Player {
         &mut self,
         now: SimTime,
         kind: RequestKind,
-        resp: &Response,
+        resp: ResponseView<'_>,
         actions: &mut PlayerActions,
     ) {
         let Some(front) = self.unacked.front_mut() else {
@@ -1114,7 +1138,7 @@ impl Player {
         if front.copies > 0 {
             front.copies -= 1;
         }
-        if resp.status == 503 {
+        if resp.status() == 503 {
             if front.copies > 0 {
                 return; // a duplicate copy is still in flight
             }
@@ -1261,10 +1285,10 @@ impl Player {
     /// The transport is back (TLS session resumed on a fresh flow):
     /// replay unacknowledged state reports, flush requests queued while
     /// offline, resume downloads.
-    pub fn on_reconnected(&mut self, now: SimTime) -> PlayerActions {
-        let mut actions = PlayerActions::default();
+    pub fn on_reconnected(&mut self, now: SimTime, actions: &mut PlayerActions) {
+        actions.clear();
         if self.connected || self.done {
-            return actions;
+            return;
         }
         self.connected = true;
         let since = self.disconnected_at.take();
@@ -1283,7 +1307,7 @@ impl Player {
         if self.refetch_manifest {
             self.refetch_manifest = false;
             let req = self.manifest_request();
-            self.push_request(&mut actions, now, req, RequestKind::Manifest);
+            self.push_request(actions, now, req, RequestKind::Manifest);
         }
         for i in 0..self.unacked.len() {
             let (kind, request) = {
@@ -1310,21 +1334,23 @@ impl Player {
             self.in_flight.push_back((out.kind, now));
             actions.requests.push(out);
         }
-        self.pump_downloads(now, &mut actions);
-        actions
+        self.pump_downloads(now, actions);
     }
 }
 
-/// Simple JSON-ish telemetry body of exactly `n` bytes (2 at least).
-fn telemetry_body(n: usize) -> Vec<u8> {
-    let fill = n.saturating_sub(2);
-    let mut body = Vec::with_capacity(fill + 2);
-    body.extend_from_slice(b"{\"b\":\"");
-    let start = body.len();
-    body.extend((start..fill).map(|i| b'A' + ((i * 11) % 26) as u8));
-    body.truncate(fill);
-    body.extend_from_slice(b"\"}");
-    body
+/// Simple JSON-ish telemetry body filling `body` (of 2 bytes at least):
+/// `{"b":"AL…"}`, the prefix cut short when the body is.
+fn fill_telemetry_body(body: &mut [u8]) {
+    const PREFIX: &[u8] = b"{\"b\":\"";
+    let fill = body.len().saturating_sub(2);
+    for (i, b) in body.iter_mut().enumerate() {
+        *b = match (PREFIX.get(i), i.checked_sub(fill)) {
+            (_, Some(0)) => b'"',
+            (_, Some(_)) => b'}',
+            (Some(&p), None) => p,
+            (None, None) => b'A' + ((i * 11) % 26) as u8,
+        };
+    }
 }
 
 #[cfg(test)]
@@ -1332,6 +1358,7 @@ mod tests {
     use super::*;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+    use wm_http::Response;
     use wm_netflix::{NetflixServer, ServerConfig, StateEventKind};
     use wm_story::bandersnatch::{bandersnatch, tiny_film};
 
@@ -1374,23 +1401,23 @@ mod tests {
             }
         }
 
-        fn apply(&mut self, actions: PlayerActions) {
+        fn apply(&mut self, actions: &mut PlayerActions) {
             // Requests are answered LATENCY later via a timer with a
             // reserved kind (0xdead + index into a response queue).
-            for out in actions.requests {
+            for out in actions.requests.drain(..) {
                 self.sent.push((
                     self.now,
                     out.kind,
                     out.request.serialized_len(),
                     out.split_flush,
                 ));
-                let resp = self.server.handle(&out.request);
+                let resp = self.server.handle(out.request.view());
                 self.responses.push_back(resp);
                 self.timers
                     .push(Reverse((self.now + LATENCY, 0xdead, self.tie)));
                 self.tie += 1;
             }
-            for (at, kind) in actions.timers {
+            for (at, kind) in actions.timers.drain(..) {
                 self.timers.push(Reverse((at, kind.0, self.tie)));
                 self.tie += 1;
             }
@@ -1401,8 +1428,9 @@ mod tests {
                 self.timers.push(Reverse((at, DISCONNECT, self.tie)));
                 self.tie += 1;
             }
-            let start = self.player.start(self.now);
-            self.apply(start);
+            let mut actions = PlayerActions::default();
+            self.player.start(self.now, &mut actions);
+            self.apply(&mut actions);
             let mut steps = 0;
             while let Some(Reverse((at, kind, _))) = self.timers.pop() {
                 steps += 1;
@@ -1418,23 +1446,23 @@ mod tests {
                 }
                 if kind == RECONNECT {
                     self.down = false;
-                    let actions = self.player.on_reconnected(at);
-                    self.apply(actions);
+                    self.player.on_reconnected(at, &mut actions);
+                    self.apply(&mut actions);
                     continue;
                 }
                 if self.player.is_done() {
                     continue;
                 }
-                let actions = if kind == 0xdead {
+                if kind == 0xdead {
                     let resp = self.responses.pop_front().expect("response queued");
                     if self.down {
                         continue; // response lost with the connection
                     }
-                    self.player.on_response(at, &resp)
+                    self.player.on_response(at, resp.view(), &mut actions);
                 } else {
-                    self.player.on_timer(at, TimerKind(kind))
-                };
-                self.apply(actions);
+                    self.player.on_timer(at, TimerKind(kind), &mut actions);
+                }
+                self.apply(&mut actions);
             }
         }
     }

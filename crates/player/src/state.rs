@@ -284,7 +284,7 @@ impl StateJsonBuilder {
             .header("Content-Type", "application/json")
             .header("Cookie", &self.cookie)
             .header("X-Netflix-Esn", &self.esn)
-            .body(wm_json::to_bytes(body))
+            .with_body(&wm_json::to_bytes(body))
     }
 }
 
@@ -418,7 +418,7 @@ mod tests {
     fn bodies_parse_and_classify_server_side() {
         let mut b = StateJsonBuilder::new(Profile::ubuntu_firefox_desktop(), 9);
         let req = b.type1_request(&fields(120_000, 3, 1));
-        let doc = wm_json::parse(&req.body).unwrap();
+        let doc = wm_json::parse(req.body()).unwrap();
         assert_eq!(
             doc.get("event").and_then(Value::as_str),
             Some("interactiveStateSnapshot")
@@ -432,7 +432,7 @@ mod tests {
             cancelled_bytes: 2_000_000,
         };
         let req2 = b.type2_request(&t2);
-        let doc2 = wm_json::parse(&req2.body).unwrap();
+        let doc2 = wm_json::parse(req2.body()).unwrap();
         let diff = doc2.get("interactionDiff").expect("type-2 marker");
         assert_eq!(
             diff.get("selection")
@@ -447,8 +447,8 @@ mod tests {
         let mut b = StateJsonBuilder::new(Profile::ubuntu_firefox_desktop(), 1);
         let r1 = b.type1_request(&fields(110_000, 0, 0));
         let r2 = b.type1_request(&fields(200_000, 3, 1));
-        let d1 = wm_json::parse(&r1.body).unwrap();
-        let d2 = wm_json::parse(&r2.body).unwrap();
+        let d1 = wm_json::parse(r1.body()).unwrap();
+        let d2 = wm_json::parse(r2.body()).unwrap();
         assert_eq!(d1.get("seq").and_then(Value::as_i64), Some(1));
         assert_eq!(d2.get("seq").and_then(Value::as_i64), Some(2));
     }

@@ -143,7 +143,7 @@ fn reports_always_server_valid() {
         let fields = rng.fields();
         let mut b = StateJsonBuilder::new(profile, seed);
         let req = b.type1_request(&fields);
-        let doc = wm_json::parse(&req.body).expect("report body is JSON");
+        let doc = wm_json::parse(req.body()).expect("report body is JSON");
         let cp = doc
             .get("choicePointId")
             .and_then(wm_json::Value::as_i64)

@@ -7,12 +7,12 @@ use wm_capture::labels::{LabeledRecord, RecordClass};
 use wm_capture::tap::Tap;
 use wm_chaos::FaultKind;
 use wm_cipher::kdf::{derive_key, derive_seed};
-use wm_http::{Request, RequestParser, ResponseParser};
+use wm_http::{RequestParser, Response, ResponseParser};
 use wm_net::headers::{FlowId, TcpFlags, FRAME_OVERHEAD};
 use wm_net::link::{Link, LinkParams};
 use wm_net::queue::{Event, EventQueue, PeerId, TimerKind};
 use wm_net::rng::SimRng;
-use wm_net::tcp::{TcpEndpoint, TcpSegment};
+use wm_net::tcp::{TcpActions, TcpEndpoint, TcpSegment};
 use wm_net::time::{Duration, SimTime};
 use wm_netflix::{NetflixServer, ServerConfig};
 use wm_player::{Player, PlayerActions, PlayerFault, RequestKind};
@@ -80,10 +80,11 @@ struct SessionState<'a> {
     req_parser: RequestParser,
     resp_parser: ResponseParser,
     /// Responses waiting for their service delay.
-    server_out: VecDeque<(SimTime, Vec<u8>)>,
+    server_out: VecDeque<(SimTime, Response)>,
 
-    /// (time, segment) pairs the tap observed, ordered at finish.
-    tapped: Vec<(SimTime, TcpSegment)>,
+    /// The capture point: frames each segment it observes as the
+    /// segment is sent, and orders the frames at finish.
+    tap: Tap,
     labels: Vec<LabeledRecord>,
     player_done: bool,
     player_started: bool,
@@ -124,6 +125,12 @@ struct SessionState<'a> {
     /// allocates nothing.
     wire_buf: Vec<u8>,
     rec_texts: Vec<Vec<u8>>,
+    /// Reused TCP outputs: segments of a flush or retransmission, and
+    /// the deliveries and replies of an arriving segment.
+    seg_buf: Vec<TcpSegment>,
+    tcp_actions: TcpActions,
+    /// Reused player outputs: the requests and timers of a callback.
+    player_actions: PlayerActions,
 
     /// Stage timers (None when telemetry is disabled). Like every
     /// component's counts they stay session-local until
@@ -235,6 +242,7 @@ impl<'a> SessionState<'a> {
         // Tracing, like telemetry, attaches observation-only handles:
         // no RNG draws, no sim-visible state, so enabling it never
         // perturbs the capture.
+        let mut tap = Tap::new();
         let (trace, session_span, flow_span) = if cfg.trace {
             let handle = TraceHandle::new();
             let session_span = handle.span_start_at(0, "session", SpanId::NONE);
@@ -246,6 +254,10 @@ impl<'a> SessionState<'a> {
             server_tls.set_trace(handle.clone(), flow_span);
             up_link.set_trace(handle.clone(), flow_span);
             down_link.set_trace(handle.clone(), flow_span);
+            // Flow-lifecycle events are emitted at assembly time (the
+            // tap replays control frames there), stamped with the frame
+            // times the eavesdropper saw.
+            tap.set_trace(handle.clone(), session_span);
             (Some(handle), session_span, flow_span)
         } else {
             (None, SpanId::NONE, SpanId::NONE)
@@ -270,7 +282,7 @@ impl<'a> SessionState<'a> {
             req_parser: RequestParser::new(),
             resp_parser: ResponseParser::new(),
             server_out: VecDeque::new(),
-            tapped: Vec::new(),
+            tap,
             labels: Vec::new(),
             player_done: false,
             player_started: false,
@@ -292,6 +304,9 @@ impl<'a> SessionState<'a> {
             retired_tls: [EngineStats::default(); 2],
             wire_buf: Vec::new(),
             rec_texts: Vec::new(),
+            seg_buf: Vec::new(),
+            tcp_actions: TcpActions::default(),
+            player_actions: PlayerActions::default(),
             spans,
             trace,
             session_span,
@@ -339,7 +354,10 @@ impl<'a> SessionState<'a> {
                 return Err(self.fail(now, SessionErrorKind::EventBudgetExhausted));
             }
             match event {
-                Event::SegmentArrival { to, segment } => self.on_segment(now, to, &segment)?,
+                Event::SegmentArrival { to, segment } => {
+                    self.on_segment(now, to, &segment)?;
+                    self.recycle(to, segment);
+                }
                 Event::Timer { owner, kind } => self.on_timer(now, owner, kind),
             }
         }
@@ -357,14 +375,6 @@ impl<'a> SessionState<'a> {
         // Assemble the capture in time order: the initial SYN exchange,
         // reconnect control frames (RST + new SYN exchange) and data
         // segments, merged by timestamp.
-        self.tapped.sort_by_key(|(t, _)| *t);
-        let mut tap = Tap::new();
-        if let Some(h) = &self.trace {
-            // Flow-lifecycle events are emitted at assembly time (the
-            // tap replays control frames here), stamped with the frame
-            // times the eavesdropper saw.
-            tap.set_trace(h.clone(), self.session_span);
-        }
         // The endpoints start established; the initial SYN exchange is
         // recorded at nominal times before the handshake flights (45 ms).
         let mut controls = vec![
@@ -380,21 +390,8 @@ impl<'a> SessionState<'a> {
         ];
         controls.extend(std::mem::take(&mut self.control_frames));
         controls.sort_by_key(|(t, ..)| *t);
-        let tapped = std::mem::take(&mut self.tapped);
-        let mut ci = 0;
-        for (t, seg) in tapped {
-            while ci < controls.len() && controls[ci].0 <= t {
-                let (ct, flow, seq, ack, flags) = controls[ci];
-                tap.record_control(ct, &flow, seq, ack, flags);
-                ci += 1;
-            }
-            tap.record_segment(t, &seg);
-        }
-        while ci < controls.len() {
-            let (ct, flow, seq, ack, flags) = controls[ci];
-            tap.record_control(ct, &flow, seq, ack, flags);
-            ci += 1;
-        }
+        let mut tap = std::mem::take(&mut self.tap);
+        tap.assemble(&controls);
         let packets = tap.len();
         let telemetry = if self.cfg.telemetry {
             self.publish_telemetry(&tap)
@@ -486,18 +483,10 @@ impl<'a> SessionState<'a> {
             (PeerId::Client, HS_FLIGHT) => self.on_hs_flight(now),
             (PeerId::Client, PLAYER_START) => {
                 self.player_started = true;
-                let actions = {
-                    let _s = self.spans.as_mut().map(|s| s.player_ns.span());
-                    self.player.start(now)
-                };
-                self.apply_player_actions(now, actions);
+                self.drive_player(now, |player, actions| player.start(now, actions));
             }
             (PeerId::Client, kind) => {
-                let actions = {
-                    let _s = self.spans.as_mut().map(|s| s.player_ns.span());
-                    self.player.on_timer(now, kind)
-                };
-                self.apply_player_actions(now, actions);
+                self.drive_player(now, |player, actions| player.on_timer(now, kind, actions));
             }
             _ => {}
         }
@@ -528,11 +517,7 @@ impl<'a> SessionState<'a> {
             if self.player_started {
                 // A resumption handshake just finished: the transport
                 // is back, let the player replay unacked state.
-                let actions = {
-                    let _s = self.spans.as_mut().map(|s| s.player_ns.span());
-                    self.player.on_reconnected(now)
-                };
-                self.apply_player_actions(now, actions);
+                self.drive_player(now, |player, actions| player.on_reconnected(now, actions));
                 return;
             }
             // Initial handshake done: hand over to the player.
@@ -574,10 +559,12 @@ impl<'a> SessionState<'a> {
         };
         match ep.rto_deadline() {
             Some(d) if now >= d => {
-                let segs = ep.on_rto(now);
-                for seg in segs {
+                let mut segs = std::mem::take(&mut self.seg_buf);
+                ep.on_rto(now, &mut segs);
+                for seg in segs.drain(..) {
                     self.send_segment(now, owner.peer(), seg);
                 }
+                self.seg_buf = segs;
                 self.arm_rto(owner);
             }
             _ => {} // stale or disarmed
@@ -589,13 +576,13 @@ impl<'a> SessionState<'a> {
             if *ready > now {
                 break;
             }
-            let (_, bytes) = self.server_out.pop_front().expect("peeked");
+            let (_, resp) = self.server_out.pop_front().expect("peeked");
             self.wire_buf.clear();
             {
                 let _s = self.spans.as_mut().map(|s| s.seal_ns.span());
                 self.server_tls.seal_payload_into(
                     ContentType::ApplicationData,
-                    &bytes,
+                    resp.as_bytes(),
                     &mut self.wire_buf,
                 );
             }
@@ -619,21 +606,22 @@ impl<'a> SessionState<'a> {
         if seg.flow != expected {
             return Ok(());
         }
-        let actions = match to {
-            PeerId::Client => self.client_tcp.on_segment(now, seg),
-            PeerId::Server => self.server_tcp.on_segment(now, seg),
-        };
-        for out in actions.to_send {
+        let mut actions = std::mem::take(&mut self.tcp_actions);
+        match to {
+            PeerId::Client => self.client_tcp.on_segment(now, seg, &mut actions),
+            PeerId::Server => self.server_tcp.on_segment(now, seg, &mut actions),
+        }
+        for out in actions.to_send.drain(..) {
             self.send_segment(now, to.peer(), out);
         }
         self.arm_rto(to);
-        if actions.delivered.is_empty() {
-            return Ok(());
-        }
-        match to {
+        let delivered = match to {
+            _ if actions.delivered.is_empty() => Ok(()),
             PeerId::Server => self.server_deliver(now, &actions.delivered),
             PeerId::Client => self.client_deliver(now, &actions.delivered),
-        }
+        };
+        self.tcp_actions = actions;
+        delivered
     }
 
     // ---- byte delivery ----------------------------------------------------
@@ -663,27 +651,27 @@ impl<'a> SessionState<'a> {
             }
         };
         for plaintext in texts.iter().take(n) {
-            let requests = self.req_parser.feed(plaintext).map_err(|e| {
-                self.fail(
-                    now,
-                    SessionErrorKind::HttpParse {
-                        side: Side::Server,
-                        detail: e.to_string(),
-                    },
-                )
-            })?;
-            for mut req in requests {
+            let requests = match self.req_parser.feed(plaintext) {
+                Ok(requests) => requests,
+                Err(e) => {
+                    return Err(self.fail(
+                        now,
+                        SessionErrorKind::HttpParse {
+                            side: Side::Server,
+                            detail: e.to_string(),
+                        },
+                    ))
+                }
+            };
+            for req in requests {
                 // Server-side decode hook (compression defense).
-                if let Some(decoded) = self
+                let body = self
                     .cfg
                     .defense
-                    .decode_body(req.header_value("content-encoding"), &req.body)
-                {
-                    req.body = decoded;
-                }
+                    .decode_body(req.header_value("content-encoding"), req.body());
                 let resp = {
                     let _s = self.spans.as_mut().map(|s| s.server_ns.span());
-                    self.server.handle(&req)
+                    self.server.handle(req.with_body(&body))
                 };
                 let delay = Duration::from_micros(400 + self.rng.exponential(300.0) as u64);
                 let ready = self
@@ -693,7 +681,7 @@ impl<'a> SessionState<'a> {
                     .unwrap_or(SimTime::ZERO)
                     .max(now + delay)
                     .max(self.server_stall_until);
-                self.server_out.push_back((ready, resp.to_bytes()));
+                self.server_out.push_back((ready, resp));
                 self.queue.schedule(
                     ready,
                     Event::Timer {
@@ -731,88 +719,76 @@ impl<'a> SessionState<'a> {
                 ));
             }
         };
+        // The parser lends out views of its buffer while the player's
+        // actions are applied, so it leaves `self` for the loop.
+        let mut parser = std::mem::take(&mut self.resp_parser);
         for plaintext in texts.iter().take(n) {
-            let responses = self.resp_parser.feed(plaintext).map_err(|e| {
-                self.fail(
-                    now,
-                    SessionErrorKind::HttpParse {
-                        side: Side::Client,
-                        detail: e.to_string(),
-                    },
-                )
-            })?;
+            let responses = match parser.feed(plaintext) {
+                Ok(responses) => responses,
+                Err(e) => {
+                    return Err(self.fail(
+                        now,
+                        SessionErrorKind::HttpParse {
+                            side: Side::Client,
+                            detail: e.to_string(),
+                        },
+                    ))
+                }
+            };
             for resp in responses {
-                let actions = {
-                    let _s = self.spans.as_mut().map(|s| s.player_ns.span());
-                    self.player.on_response(now, &resp)
-                };
-                self.apply_player_actions(now, actions);
+                self.drive_player(now, |player, actions| {
+                    player.on_response(now, resp, actions)
+                });
             }
         }
+        self.resp_parser = parser;
         self.rec_texts = texts;
         Ok(())
     }
 
     // ---- player plumbing ---------------------------------------------------
 
-    fn apply_player_actions(&mut self, now: SimTime, actions: PlayerActions) {
-        for out in actions.requests {
+    /// Run one player entry point under the player span, then apply
+    /// what it asks for; the actions buffer is the session's, reused.
+    fn drive_player(&mut self, now: SimTime, call: impl FnOnce(&mut Player, &mut PlayerActions)) {
+        let mut actions = std::mem::take(&mut self.player_actions);
+        {
+            let _s = self.spans.as_mut().map(|s| s.player_ns.span());
+            call(&mut self.player, &mut actions);
+        }
+        self.apply_player_actions(now, &mut actions);
+        self.player_actions = actions;
+    }
+
+    fn apply_player_actions(&mut self, now: SimTime, actions: &mut PlayerActions) {
+        for out in actions.requests.drain(..) {
             let is_state = matches!(
                 out.kind,
                 RequestKind::StateType1 | RequestKind::StateType2 | RequestKind::DummyReport
             );
-            let writes: Vec<Vec<u8>> = if is_state {
+            if !is_state {
+                self.write_request(now, out.kind, false, out.request.as_bytes());
+            } else if out.split_flush && self.cfg.defense == wm_defense::Defense::None {
                 // A deployed countermeasure controls record framing
                 // below the browser's flush quirks; only undefended
-                // posts are subject to the rare header/body flush split.
-                if out.split_flush && self.cfg.defense == wm_defense::Defense::None {
-                    split_at_header_boundary(&out.request)
+                // posts are subject to the rare header/body flush split:
+                // the head and the body go out as two writes.
+                let (head, body) = out.request.as_bytes().split_at(out.request.head_len());
+                if body.is_empty() {
+                    self.write_request(now, out.kind, true, head);
                 } else {
-                    self.cfg.defense.encode(&out.request)
+                    self.write_request(now, out.kind, false, head);
+                    self.write_request(now, out.kind, false, body);
                 }
             } else {
-                vec![out.request.to_bytes()]
-            };
-            let whole_report = is_state && writes.len() == 1;
-            for write in &writes {
-                self.wire_buf.clear();
-                {
-                    let _s = self.spans.as_mut().map(|s| s.seal_ns.span());
-                    self.client_tls.seal_payload_into(
-                        ContentType::ApplicationData,
-                        write,
-                        &mut self.wire_buf,
-                    );
+                let writes = self.cfg.defense.encode(&out.request);
+                for write in &writes {
+                    self.write_request(now, out.kind, writes.len() == 1, write);
                 }
-                // Label each record of this write.
-                let n_records = write.len().div_ceil(MAX_FRAGMENT).max(1);
-                let class = match out.kind {
-                    RequestKind::StateType1 if whole_report && n_records == 1 => RecordClass::Type1,
-                    RequestKind::StateType2 if whole_report && n_records == 1 => RecordClass::Type2,
-                    _ => RecordClass::Other,
-                };
-                if n_records == 1 {
-                    self.labels.push(LabeledRecord {
-                        time: now,
-                        length: (self.wire_buf.len() - RECORD_HEADER_LEN) as u16,
-                        class,
-                    });
-                } else {
-                    // Fragmented write (never a clean state report).
-                    let mut obs = wm_tls::RecordObserver::new();
-                    for r in obs.feed(&self.wire_buf) {
-                        self.labels.push(LabeledRecord {
-                            time: now,
-                            length: r.length,
-                            class: RecordClass::Other,
-                        });
-                    }
-                }
-                self.client_tcp.write(&self.wire_buf);
             }
             self.flush_tcp(now, PeerId::Client);
         }
-        for (at, kind) in actions.timers {
+        for (at, kind) in actions.timers.drain(..) {
             // Player callbacks can request timers "now" while the clock
             // already advanced; clamp rather than panic.
             self.queue.schedule(
@@ -828,16 +804,58 @@ impl<'a> SessionState<'a> {
         }
     }
 
+    /// Seal one client write of a `kind` request and queue it on the
+    /// client's TCP endpoint, labelling its records. A state report
+    /// written `whole` in one record is labelled with its type.
+    fn write_request(&mut self, now: SimTime, kind: RequestKind, whole: bool, write: &[u8]) {
+        self.wire_buf.clear();
+        {
+            let _s = self.spans.as_mut().map(|s| s.seal_ns.span());
+            self.client_tls.seal_payload_into(
+                ContentType::ApplicationData,
+                write,
+                &mut self.wire_buf,
+            );
+        }
+        // Label each record of this write.
+        let n_records = write.len().div_ceil(MAX_FRAGMENT).max(1);
+        let class = match kind {
+            RequestKind::StateType1 if whole && n_records == 1 => RecordClass::Type1,
+            RequestKind::StateType2 if whole && n_records == 1 => RecordClass::Type2,
+            _ => RecordClass::Other,
+        };
+        if n_records == 1 {
+            self.labels.push(LabeledRecord {
+                time: now,
+                length: (self.wire_buf.len() - RECORD_HEADER_LEN) as u16,
+                class,
+            });
+        } else {
+            // Fragmented write (never a clean state report).
+            let mut obs = wm_tls::RecordObserver::new();
+            for r in obs.feed(&self.wire_buf) {
+                self.labels.push(LabeledRecord {
+                    time: now,
+                    length: r.length,
+                    class: RecordClass::Other,
+                });
+            }
+        }
+        self.client_tcp.write(&self.wire_buf);
+    }
+
     // ---- transmission -------------------------------------------------------
 
     fn flush_tcp(&mut self, now: SimTime, owner: PeerId) {
-        let segs = match owner {
-            PeerId::Client => self.client_tcp.flush(now),
-            PeerId::Server => self.server_tcp.flush(now),
-        };
-        for seg in segs {
+        let mut segs = std::mem::take(&mut self.seg_buf);
+        match owner {
+            PeerId::Client => self.client_tcp.flush(now, &mut segs),
+            PeerId::Server => self.server_tcp.flush(now, &mut segs),
+        }
+        for seg in segs.drain(..) {
             self.send_segment(now, owner.peer(), seg);
         }
+        self.seg_buf = segs;
         self.arm_rto(owner);
     }
 
@@ -864,12 +882,23 @@ impl<'a> SessionState<'a> {
                     );
                 }
             } else {
-                self.tapped.push((tap_at, seg.clone()));
+                self.tap.record_unordered(tap_at, &seg);
             }
         }
-        if let Some(at) = transit.arrives_at {
-            self.queue
-                .schedule(at, Event::SegmentArrival { to, segment: seg });
+        match transit.arrives_at {
+            Some(at) => self
+                .queue
+                .schedule(at, Event::SegmentArrival { to, segment: seg }),
+            None => self.recycle(to, seg),
+        }
+    }
+
+    /// A segment bound `to` a peer is consumed: its payload buffer goes
+    /// back to the endpoint that sent it.
+    fn recycle(&mut self, to: PeerId, seg: TcpSegment) {
+        match to {
+            PeerId::Server => self.client_tcp.recycle(seg.payload),
+            PeerId::Client => self.server_tcp.recycle(seg.payload),
         }
     }
 
@@ -1158,18 +1187,6 @@ fn skip_bytes<'b>(skip: &mut usize, bytes: &'b [u8]) -> &'b [u8] {
     let take = (*skip).min(bytes.len());
     *skip -= take;
     &bytes[take..]
-}
-
-/// A flush split writes the HTTP head and the body separately.
-// wm-lint: alloc-ok(reason = "per-POST header split: two owned writes per state report, amortized across its records")
-fn split_at_header_boundary(req: &Request) -> Vec<Vec<u8>> {
-    let bytes = req.to_bytes();
-    match bytes.windows(4).position(|w| w == b"\r\n\r\n") {
-        Some(pos) if pos + 4 < bytes.len() => {
-            vec![bytes[..pos + 4].to_vec(), bytes[pos + 4..].to_vec()]
-        }
-        _ => vec![bytes],
-    }
 }
 
 #[cfg(test)]

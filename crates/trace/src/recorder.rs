@@ -38,6 +38,20 @@ pub struct TraceRecorder {
     inner: Mutex<Inner>,
 }
 
+impl Inner {
+    /// Append `event` under the next sequence number, evicting the
+    /// oldest event when the buffer holds `capacity`.
+    fn push(&mut self, capacity: usize, event: TraceEvent) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.buf.len() == capacity {
+            self.buf.pop_front();
+            self.evicted += 1;
+        }
+        self.buf.push_back(TraceEvent { seq, ..event });
+    }
+}
+
 impl TraceRecorder {
     fn new(capacity: usize) -> Self {
         TraceRecorder {
@@ -105,22 +119,19 @@ impl TraceHandle {
         let Ok(mut g) = self.rec.inner.lock() else {
             return; // poisoned: tracing is observation, never propagate
         };
-        let seq = g.next_seq;
-        g.next_seq += 1;
-        if g.buf.len() == self.rec.capacity {
-            g.buf.pop_front();
-            g.evicted += 1;
-        }
-        g.buf.push_back(TraceEvent {
-            seq,
-            t_us,
-            span,
-            parent,
-            kind,
-            name,
-            a,
-            b,
-        });
+        g.push(
+            self.rec.capacity,
+            TraceEvent {
+                seq: 0,
+                t_us,
+                span,
+                parent,
+                kind,
+                name,
+                a,
+                b,
+            },
+        );
     }
 
     /// Open a span at the current sim clock.
@@ -130,14 +141,24 @@ impl TraceHandle {
 
     /// Open a span at an explicit sim time.
     pub fn span_start_at(&self, t_us: u64, name: &'static str, parent: SpanId) -> SpanId {
-        let span = {
-            let Ok(mut g) = self.rec.inner.lock() else {
-                return SpanId::NONE;
-            };
-            g.next_span += 1;
-            SpanId(g.next_span)
+        let Ok(mut g) = self.rec.inner.lock() else {
+            return SpanId::NONE;
         };
-        self.push(t_us, span, parent, EventKind::SpanStart, name, 0, 0);
+        g.next_span += 1;
+        let span = SpanId(g.next_span);
+        g.push(
+            self.rec.capacity,
+            TraceEvent {
+                seq: 0,
+                t_us,
+                span,
+                parent,
+                kind: EventKind::SpanStart,
+                name,
+                a: 0,
+                b: 0,
+            },
+        );
         span
     }
 
