@@ -111,16 +111,18 @@ impl Trace {
 
 /// Live tap used by the session simulator.
 ///
-/// The session layer calls [`Tap::record_segment`] for every packet the
-/// tap observes (link-level tap loss is applied by the caller, which
-/// knows the link's tap-loss probability). The tap serializes real
-/// frames so the resulting trace is indistinguishable from a wire
-/// capture.
+/// The caller records every packet the tap observes (link-level tap
+/// loss is applied by the caller, which knows the link's tap-loss
+/// probability). The tap serializes real frames so the resulting trace
+/// is indistinguishable from a wire capture.
 ///
-/// A simulator learns when the tap sees a segment as it sends it, not
-/// in time order. [`Tap::record_unordered`] frames such a segment at
-/// once, from the borrowed segment; [`Tap::assemble`] later puts the
-/// frames in time order and numbers their IP ids in that order.
+/// Packets seen in time order go through [`Tap::record_segment`] and
+/// [`Tap::record_control`]. The session simulator learns when the tap
+/// sees a data segment as it sends it, not in time order:
+/// [`Tap::record_unordered`] frames such a segment at once, from the
+/// borrowed segment, and [`Tap::assemble`] later puts the frames in
+/// time order, interleaves the control frames and numbers the IP ids
+/// in that order.
 pub struct Tap {
     trace: Trace,
     /// Frames recorded by [`Tap::record_unordered`], awaiting
@@ -166,6 +168,20 @@ impl Tap {
     pub fn record_segment(&mut self, time: SimTime, seg: &TcpSegment) {
         let ip_id = self.next_ip_id;
         self.next_ip_id = self.next_ip_id.wrapping_add(1);
+        let packet = self.frame(time, seg, ip_id);
+        self.trace.packets.push(packet);
+    }
+
+    /// Record a TCP segment observed at `time`, whose place among the
+    /// frames is settled by [`Tap::assemble`].
+    pub fn record_unordered(&mut self, time: SimTime, seg: &TcpSegment) {
+        // The IP id is a placeholder until `assemble` numbers the frame.
+        let packet = self.frame(time, seg, 0);
+        self.unordered.push(packet);
+    }
+
+    /// Serialize `seg` as the frame the tap sees at `time`.
+    fn frame(&mut self, time: SimTime, seg: &TcpSegment, ip_id: u16) -> CapturedPacket {
         let ts = (time.micros() / 1_000) as u32; // ms-granularity TSval
         let frame = build_frame(
             &seg.flow,
@@ -178,25 +194,7 @@ impl Tap {
             &seg.payload,
         );
         self.bytes_tapped += frame.len() as u64;
-        self.trace.packets.push(CapturedPacket { time, frame });
-    }
-
-    /// Record a TCP segment observed at `time`, whose place among the
-    /// frames is settled by [`Tap::assemble`].
-    pub fn record_unordered(&mut self, time: SimTime, seg: &TcpSegment) {
-        let ts = (time.micros() / 1_000) as u32; // ms-granularity TSval
-        let frame = build_frame(
-            &seg.flow,
-            seg.seq,
-            seg.ack,
-            seg.flags,
-            ts,
-            0,
-            0,
-            &seg.payload,
-        );
-        self.bytes_tapped += frame.len() as u64;
-        self.unordered.push(CapturedPacket { time, frame });
+        CapturedPacket { time, frame }
     }
 
     /// Append the [`Tap::record_unordered`] frames in time order (ties

@@ -18,7 +18,7 @@
 
 mod parse;
 
-pub use parse::{ParseError, ParsePhase, RequestParser, Requests, ResponseParser, Responses};
+pub use parse::{ParseError, ParsePhase, RequestParser, ResponseParser, Views};
 
 /// Head bytes reserved up front, so a message's header lines (a
 /// state report's run to ~600 bytes) are appended without regrowing
@@ -211,19 +211,6 @@ impl Request {
         RequestView::new(self.wire.head(), self.wire.body())
     }
 
-    pub fn method(&self) -> &str {
-        self.view().method()
-    }
-
-    pub fn path(&self) -> &str {
-        self.view().path()
-    }
-
-    /// Look up a header value (case-insensitive name match).
-    pub fn header_value(&self, name: &str) -> Option<&str> {
-        self.view().header_value(name)
-    }
-
     pub fn body(&self) -> &[u8] {
         self.wire.body()
     }
@@ -231,12 +218,13 @@ impl Request {
 
 impl std::fmt::Display for Request {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let view = self.view();
         write!(
             f,
             "{} {} ({} body bytes)",
-            self.method(),
-            self.path(),
-            self.body().len()
+            view.method(),
+            view.path(),
+            view.body().len()
         )
     }
 }
@@ -302,14 +290,6 @@ impl Response {
 
     pub fn status(&self) -> u16 {
         self.view().status()
-    }
-
-    pub fn reason(&self) -> &str {
-        self.view().reason()
-    }
-
-    pub fn header_value(&self, name: &str) -> Option<&str> {
-        self.view().header_value(name)
     }
 
     pub fn body(&self) -> &[u8] {
@@ -541,15 +521,17 @@ mod tests {
         let req = Request::new("GET", "/media/1/2?br=3")
             .header("X-Netflix-Esn", "NFCDIE-02")
             .header("Accept", "*/*");
+        let req = req.view();
         assert_eq!(req.method(), "GET");
         assert_eq!(req.path(), "/media/1/2?br=3");
         assert_eq!(req.header_value("x-netflix-esn"), Some("NFCDIE-02"));
         assert_eq!(req.header_value("missing"), None);
-        let names: Vec<_> = req.view().headers().map(|(n, _)| n).collect();
+        let names: Vec<_> = req.headers().map(|(n, _)| n).collect();
         assert_eq!(names, ["X-Netflix-Esn", "Accept"]);
         let resp = Response::new(404, "Not Found").with_body(b"{}");
-        assert_eq!((resp.status(), resp.reason()), (404, "Not Found"));
-        assert_eq!(resp.body(), b"{}");
+        let view = resp.view();
+        assert_eq!((view.status(), view.reason()), (404, "Not Found"));
+        assert_eq!(view.body(), b"{}");
     }
 
     #[test]

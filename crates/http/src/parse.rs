@@ -227,10 +227,11 @@ impl<K: StartLine> Accumulator<K> {
         }
     }
 
-    fn messages(&self) -> Messages<'_> {
-        Messages {
+    fn views<'a, V>(&'a self, view: fn(&'a str, &'a [u8]) -> V) -> Views<'a, V> {
+        Views {
             buf: &self.buf,
             framed: self.framed.iter(),
+            view,
         }
     }
 }
@@ -312,24 +313,24 @@ impl<'a> Iterator for CrlfLines<'a> {
     }
 }
 
-/// The framed messages of one feed, as (head, body) borrows.
-struct Messages<'a> {
+/// The messages one feed completed, borrowed from the parser's buffer
+/// as [`RequestView`]s or [`ResponseView`]s.
+pub struct Views<'a, V> {
     buf: &'a [u8],
     framed: std::slice::Iter<'a, Framed>,
+    view: fn(&'a str, &'a [u8]) -> V,
 }
 
-impl<'a> Iterator for Messages<'a> {
-    type Item = (&'a str, &'a [u8]);
+impl<'a, V> Iterator for Views<'a, V> {
+    type Item = V;
 
-    fn next(&mut self) -> Option<Self::Item> {
+    fn next(&mut self) -> Option<V> {
         let f = self.framed.next()?;
         let head = self.buf.get(f.head_start..f.head_end).unwrap_or_default();
         // Framing checked the head is UTF-8.
         let head = std::str::from_utf8(head).unwrap_or_default();
-        Some((
-            head,
-            self.buf.get(f.body_start..f.body_end).unwrap_or_default(),
-        ))
+        let body = self.buf.get(f.body_start..f.body_end).unwrap_or_default();
+        Some((self.view)(head, body))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -337,44 +338,7 @@ impl<'a> Iterator for Messages<'a> {
     }
 }
 
-/// The requests one [`RequestParser::feed`] completed, borrowed from
-/// the parser's buffer.
-pub struct Requests<'a>(Messages<'a>);
-
-impl<'a> Iterator for Requests<'a> {
-    type Item = RequestView<'a>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0
-            .next()
-            .map(|(head, body)| RequestView::new(head, body))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Requests<'_> {}
-
-/// The responses one [`ResponseParser::feed`] completed.
-pub struct Responses<'a>(Messages<'a>);
-
-impl<'a> Iterator for Responses<'a> {
-    type Item = ResponseView<'a>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0
-            .next()
-            .map(|(head, body)| ResponseView::new(head, body))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Responses<'_> {}
+impl<V> ExactSizeIterator for Views<'_, V> {}
 
 /// Incremental request parser (server side).
 pub struct RequestParser {
@@ -396,9 +360,9 @@ impl RequestParser {
     /// Feed stream bytes; returns the requests completed by this feed,
     /// valid until the next one.
     // wm-lint: hotpath
-    pub fn feed(&mut self, bytes: &[u8]) -> Result<Requests<'_>, ParseError> {
+    pub fn feed(&mut self, bytes: &[u8]) -> Result<Views<'_, RequestView<'_>>, ParseError> {
         self.acc.feed(bytes)?;
-        Ok(Requests(self.acc.messages()))
+        Ok(self.acc.views(RequestView::new))
     }
 }
 
@@ -427,9 +391,9 @@ impl ResponseParser {
     /// Feed stream bytes; returns the responses completed by this feed,
     /// valid until the next one.
     // wm-lint: hotpath
-    pub fn feed(&mut self, bytes: &[u8]) -> Result<Responses<'_>, ParseError> {
+    pub fn feed(&mut self, bytes: &[u8]) -> Result<Views<'_, ResponseView<'_>>, ParseError> {
         self.acc.feed(bytes)?;
-        Ok(Responses(self.acc.messages()))
+        Ok(self.acc.views(ResponseView::new))
     }
 }
 

@@ -4,7 +4,8 @@
 //! `owned` below is the earlier representation: `String` fields per
 //! method, path, reason and header, a serializer that assembles them,
 //! and the parser that built owned messages from the accumulated bytes.
-//! It is kept verbatim as the oracle.
+//! `reference` is the accumulator that parser replaced in turn, reading
+//! into the same owned messages. Both are kept verbatim as oracles.
 //!
 //! * Builders: random methods, paths, header sets and bodies must
 //!   serialize to the same bytes and the same predicted lengths.
@@ -512,6 +513,242 @@ mod owned {
     }
 }
 
+/// The split-based accumulator that preceded `owned`'s parser (fresh
+/// `Vec`s per head, one `String` per head line, one recursion per
+/// pipelined message), kept verbatim (bar `use` lines) as a second,
+/// independent oracle over the `owned` message types.
+#[allow(dead_code)]
+mod reference {
+    use super::owned::{Request, Response};
+    use wm_http::{ParseError, ParsePhase};
+
+    /// Generic head-then-body accumulator shared by both parsers.
+    struct Accumulator {
+        buf: Vec<u8>,
+        phase: ParsePhase,
+        /// Parsed head lines (start line + headers) once phase is Body.
+        head: Vec<String>,
+        body_remaining: usize,
+        body: Vec<u8>,
+    }
+
+    impl Accumulator {
+        fn new() -> Self {
+            Accumulator {
+                buf: Vec::new(),
+                phase: ParsePhase::Headers,
+                head: Vec::new(),
+                body_remaining: 0,
+                body: Vec::new(),
+            }
+        }
+
+        /// Feed bytes; returns `Some((head_lines, body))` per complete
+        /// message. Returns `Err` on malformed heads.
+        fn feed(
+            &mut self,
+            mut bytes: &[u8],
+            out: &mut Vec<(Vec<String>, Vec<u8>)>,
+        ) -> Result<(), ParseError> {
+            while !bytes.is_empty() {
+                match self.phase {
+                    ParsePhase::Headers => {
+                        self.buf.extend_from_slice(bytes);
+                        bytes = &[];
+                        if let Some(end) = find_double_crlf(&self.buf) {
+                            let head_bytes = self.buf.get(..end).unwrap_or_default().to_vec();
+                            let rest = self.buf.get(end + 4..).unwrap_or_default().to_vec();
+                            self.buf.clear();
+                            let head_text = String::from_utf8(head_bytes)
+                                .map_err(|_| ParseError::NonUtf8Head)?;
+                            self.head = head_text.split("\r\n").map(str::to_owned).collect();
+                            self.body_remaining = content_length(&self.head)?;
+                            self.body = Vec::with_capacity(self.body_remaining);
+                            self.phase = ParsePhase::Body;
+                            // Re-feed what followed the head.
+                            self.feed(&rest, out)?;
+                        }
+                    }
+                    ParsePhase::Body => {
+                        let take = bytes.len().min(self.body_remaining);
+                        let (chunk, rest) = bytes.split_at_checked(take).unwrap_or((bytes, &[]));
+                        self.body.extend_from_slice(chunk);
+                        self.body_remaining -= chunk.len();
+                        bytes = rest;
+                        if self.body_remaining == 0 {
+                            out.push((
+                                std::mem::take(&mut self.head),
+                                std::mem::take(&mut self.body),
+                            ));
+                            self.phase = ParsePhase::Headers;
+                        }
+                    }
+                }
+            }
+            // Zero-length bodies complete immediately even with no trailing bytes.
+            if self.phase == ParsePhase::Body && self.body_remaining == 0 {
+                out.push((
+                    std::mem::take(&mut self.head),
+                    std::mem::take(&mut self.body),
+                ));
+                self.phase = ParsePhase::Headers;
+            }
+            Ok(())
+        }
+
+        fn phase(&self) -> ParsePhase {
+            self.phase
+        }
+    }
+
+    fn find_double_crlf(buf: &[u8]) -> Option<usize> {
+        buf.windows(4).position(|w| w == b"\r\n\r\n")
+    }
+
+    /// The head lines after the start line (empty when the head is empty).
+    fn header_lines(head: &[String]) -> &[String] {
+        head.get(1..).unwrap_or_default()
+    }
+
+    /// The start line of a head block (`""` when the head is empty).
+    fn start_line(head: &[String]) -> &str {
+        head.first().map(String::as_str).unwrap_or_default()
+    }
+
+    fn content_length(head: &[String]) -> Result<usize, ParseError> {
+        for line in header_lines(head) {
+            if let Some((name, value)) = line.split_once(':') {
+                if name.trim().eq_ignore_ascii_case("content-length") {
+                    return value
+                        .trim()
+                        .parse::<usize>()
+                        .map_err(|_| ParseError::BadContentLength(value.trim().to_owned()));
+                }
+            }
+        }
+        Ok(0)
+    }
+
+    fn split_headers(head: &[String]) -> Result<Vec<(String, String)>, ParseError> {
+        header_lines(head)
+            .iter()
+            .map(|line| {
+                line.split_once(':')
+                    .map(|(n, v)| (n.trim().to_owned(), v.trim().to_owned()))
+                    .ok_or_else(|| ParseError::MalformedHeaderLine(line.clone()))
+            })
+            .collect()
+    }
+
+    /// Incremental request parser (server side).
+    pub struct RequestParser {
+        acc: Accumulator,
+    }
+
+    impl RequestParser {
+        pub fn new() -> Self {
+            RequestParser {
+                acc: Accumulator::new(),
+            }
+        }
+
+        /// Current phase (tests and flow-control use this).
+        pub fn phase(&self) -> ParsePhase {
+            self.acc.phase()
+        }
+
+        /// Feed stream bytes; returns the requests completed by this feed.
+        pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Request>, ParseError> {
+            let mut raw = Vec::new();
+            self.acc.feed(bytes, &mut raw)?;
+            raw.into_iter()
+                .map(|(head, body)| {
+                    let mut parts = start_line(&head).split(' ');
+                    let method = parts.next().unwrap_or("").to_owned();
+                    let path = parts.next().unwrap_or("").to_owned();
+                    let version = parts.next().unwrap_or("");
+                    if method.is_empty() || path.is_empty() || !version.starts_with("HTTP/1.") {
+                        return Err(ParseError::MalformedRequestLine(
+                            start_line(&head).to_owned(),
+                        ));
+                    }
+                    Ok(Request {
+                        method,
+                        path,
+                        headers: strip_content_length(split_headers(&head)?),
+                        body,
+                    })
+                })
+                .collect()
+        }
+    }
+
+    impl Default for RequestParser {
+        fn default() -> Self {
+            Self::new()
+        }
+    }
+
+    /// Incremental response parser (client side).
+    pub struct ResponseParser {
+        acc: Accumulator,
+    }
+
+    impl ResponseParser {
+        pub fn new() -> Self {
+            ResponseParser {
+                acc: Accumulator::new(),
+            }
+        }
+
+        pub fn phase(&self) -> ParsePhase {
+            self.acc.phase()
+        }
+
+        /// Feed stream bytes; returns the responses completed by this feed.
+        pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Response>, ParseError> {
+            let mut raw = Vec::new();
+            self.acc.feed(bytes, &mut raw)?;
+            raw.into_iter()
+                .map(|(head, body)| {
+                    let mut parts = start_line(&head).splitn(3, ' ');
+                    let version = parts.next().unwrap_or("");
+                    let status: u16 = parts
+                        .next()
+                        .unwrap_or("")
+                        .parse()
+                        .map_err(|_| ParseError::BadStatusLine(start_line(&head).to_owned()))?;
+                    let reason = parts.next().unwrap_or("").to_owned();
+                    if !version.starts_with("HTTP/1.") {
+                        return Err(ParseError::BadStatusLine(start_line(&head).to_owned()));
+                    }
+                    Ok(Response {
+                        status,
+                        reason,
+                        headers: strip_content_length(split_headers(&head)?),
+                        body,
+                    })
+                })
+                .collect()
+        }
+    }
+
+    impl Default for ResponseParser {
+        fn default() -> Self {
+            Self::new()
+        }
+    }
+
+    /// The builders re-add Content-Length on serialization; strip it on
+    /// parse so `parse(serialize(m)) == m`.
+    fn strip_content_length(headers: Vec<(String, String)>) -> Vec<(String, String)> {
+        headers
+            .into_iter()
+            .filter(|(n, _)| !n.eq_ignore_ascii_case("content-length"))
+            .collect()
+    }
+}
+
 /// Minimal splitmix64 case generator.
 struct Rng(u64);
 
@@ -664,26 +901,27 @@ fn wire(rng: &mut Rng, pool: &[&[u8]], count: usize) -> Vec<u8> {
 
 type Feed<M> = Result<Vec<M>, ParseError>;
 
-/// Feed `pieces` to both parsers; every feed must agree.
+/// Feed `pieces` to the parser under test and both oracles; every feed
+/// must agree.
 fn assert_same<M: PartialEq + std::fmt::Debug>(
     case: &str,
     pieces: &[&[u8]],
     mut new: impl FnMut(&[u8]) -> (Feed<M>, ParsePhase),
-    mut old: impl FnMut(&[u8]) -> (Feed<M>, ParsePhase),
+    mut owned: impl FnMut(&[u8]) -> (Feed<M>, ParsePhase),
+    mut reference: impl FnMut(&[u8]) -> (Feed<M>, ParsePhase),
 ) {
     for (i, piece) in pieces.iter().enumerate() {
-        assert_eq!(
-            new(piece),
-            old(piece),
-            "{case}: feed {i} of {}",
-            pieces.len()
-        );
+        let got = new(piece);
+        let n = pieces.len();
+        assert_eq!(got, owned(piece), "{case}: feed {i} of {n} (owned)");
+        assert_eq!(got, reference(piece), "{case}: feed {i} of {n} (reference)");
     }
 }
 
 fn check_requests(case: &str, pieces: &[&[u8]]) {
     let mut new = RequestParser::new();
-    let mut old = owned::RequestParser::new();
+    let mut owned = owned::RequestParser::new();
+    let mut reference = reference::RequestParser::new();
     assert_same(
         case,
         pieces,
@@ -691,13 +929,15 @@ fn check_requests(case: &str, pieces: &[&[u8]]) {
             let got = new.feed(b).map(|rs| rs.map(owned_request).collect());
             (got, new.phase())
         },
-        |b| (old.feed(b), old.phase()),
+        |b| (owned.feed(b), owned.phase()),
+        |b| (reference.feed(b), reference.phase()),
     );
 }
 
 fn check_responses(case: &str, pieces: &[&[u8]]) {
     let mut new = ResponseParser::new();
-    let mut old = owned::ResponseParser::new();
+    let mut owned = owned::ResponseParser::new();
+    let mut reference = reference::ResponseParser::new();
     assert_same(
         case,
         pieces,
@@ -705,7 +945,8 @@ fn check_responses(case: &str, pieces: &[&[u8]]) {
             let got = new.feed(b).map(|rs| rs.map(owned_response).collect());
             (got, new.phase())
         },
-        |b| (old.feed(b), old.phase()),
+        |b| (owned.feed(b), owned.phase()),
+        |b| (reference.feed(b), reference.phase()),
     );
 }
 
@@ -787,12 +1028,16 @@ fn builders_serialize_like_the_owned_ones() {
                 "case {case} body {body_len}"
             );
         }
-        assert_eq!((new.method(), new.path()), (&old.method[..], &old.path[..]));
+        let view = new.view();
+        assert_eq!(
+            (view.method(), view.path()),
+            (&old.method[..], &old.path[..])
+        );
         assert_eq!(new.body(), &old.body[..], "case {case}");
         assert_eq!(new.head_len() + old.body.len(), old.to_bytes().len());
         for (name, _) in &old.headers {
             assert_eq!(
-                new.header_value(name),
+                view.header_value(name),
                 old.header_value(name),
                 "case {case}"
             );

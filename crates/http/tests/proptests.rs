@@ -4,7 +4,7 @@
 //! property runs over a few hundred cases drawn from a local splitmix64
 //! driver. Failures print the case number for replay.
 
-use wm_http::{ParseError, Request, RequestParser, Response, ResponseParser};
+use wm_http::{ParseError, Request, RequestParser, RequestView, Response, ResponseParser};
 
 /// Minimal splitmix64 case generator.
 struct Rng(u64);
@@ -86,18 +86,7 @@ fn request_roundtrip() {
         let mut parser = RequestParser::new();
         let mut got = Vec::new();
         for piece in req.as_bytes().chunks(chunk) {
-            for r in parser.feed(piece).expect("own request") {
-                let headers: Vec<_> = r
-                    .headers()
-                    .map(|(n, v)| (n.to_owned(), v.to_owned()))
-                    .collect();
-                got.push((
-                    r.method().to_owned(),
-                    r.path().to_owned(),
-                    headers,
-                    r.body().to_vec(),
-                ));
-            }
+            got.extend(parser.feed(piece).expect("own request").map(fields));
         }
         let want: Vec<_> = headers
             .into_iter()
@@ -135,25 +124,55 @@ fn response_roundtrip() {
     }
 }
 
-/// Pipelined request sequences parse back in order.
+/// A request's fields as the parser reads them, owned.
+type Fields = (String, String, Vec<(String, String)>, Vec<u8>);
+
+fn fields(r: RequestView<'_>) -> Fields {
+    let headers = r
+        .headers()
+        .map(|(n, v)| (n.to_owned(), v.to_owned()))
+        .collect();
+    (
+        r.method().to_owned(),
+        r.path().to_owned(),
+        headers,
+        r.body().to_vec(),
+    )
+}
+
+/// Pipelined request sequences parse back in order, every field intact.
 #[test]
 fn pipelining() {
     for case in 0..150u64 {
         let mut rng = Rng(0x47_2000 + case);
         let n = 1 + rng.below(5);
-        let reqs: Vec<Request> = (0..n)
-            .map(|i| Request::new("POST", &format!("/r/{i}")).with_body(&rng.bytes(99)))
+        let want: Vec<Fields> = (0..n)
+            .map(|i| {
+                let method = ["GET", "POST", "PUT"][rng.below(3)].to_owned();
+                let headers = (0..rng.below(4))
+                    .map(|_| (rng.token(), rng.header_value()))
+                    .collect();
+                (method, format!("/r/{i}"), headers, rng.bytes(99))
+            })
             .collect();
+        let reqs: Vec<Request> = want
+            .iter()
+            .map(|(method, path, headers, body)| {
+                let mut req = Request::new(method, path);
+                for (n, v) in headers {
+                    req = req.header(n, v);
+                }
+                req.with_body(body)
+            })
+            .collect();
+        let built: Vec<Fields> = reqs.iter().map(|r| fields(r.view())).collect();
+        assert_eq!(built, want, "case {case}");
         let wire: Vec<u8> = reqs.iter().flat_map(Request::as_bytes).copied().collect();
         let mut parser = RequestParser::new();
-        let got: Vec<_> = parser
+        let got: Vec<Fields> = parser
             .feed(&wire)
             .expect("own requests")
-            .map(|r| (r.path().to_owned(), r.body().to_vec()))
-            .collect();
-        let want: Vec<_> = reqs
-            .iter()
-            .map(|r| (r.path().to_owned(), r.body().to_vec()))
+            .map(fields)
             .collect();
         assert_eq!(got, want, "case {case}");
     }

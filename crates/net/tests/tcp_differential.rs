@@ -263,6 +263,9 @@ trait Endpoint {
     fn flush(&mut self, now: SimTime) -> Vec<TcpSegment>;
     fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) -> TcpActions;
     fn on_rto(&mut self, now: SimTime) -> Vec<TcpSegment>;
+    /// Take back the payload of a segment this endpoint sent, once it
+    /// is delivered or lost.
+    fn recycle(&mut self, payload: Vec<u8>);
     fn rto_deadline(&self) -> Option<SimTime>;
     fn outstanding(&self) -> usize;
     fn stats(&self) -> TcpStats;
@@ -286,6 +289,7 @@ macro_rules! endpoint {
             fn on_rto(&mut self, now: SimTime) -> Vec<TcpSegment> {
                 <$ty>::on_rto(self, now)
             }
+            fn recycle(&mut self, _payload: Vec<u8>) {}
             fn rto_deadline(&self) -> Option<SimTime> {
                 <$ty>::rto_deadline(self)
             }
@@ -301,7 +305,10 @@ macro_rules! endpoint {
 
 endpoint!(reference::TcpEndpoint);
 
-/// The endpoint under test, driven through buffers reused across calls.
+/// The endpoint under test, driven through output buffers reused
+/// across calls. Segments are moved out of them, so the payload
+/// buffers the scenario hands back through `recycle` are the ones the
+/// endpoint sent, and later sends reuse them.
 struct Reused {
     ep: TcpEndpoint,
     segments: Vec<TcpSegment>,
@@ -322,19 +329,22 @@ impl Endpoint for Reused {
     fn flush(&mut self, now: SimTime) -> Vec<TcpSegment> {
         self.segments.clear();
         self.ep.flush(now, &mut self.segments);
-        self.segments.clone()
+        self.segments.drain(..).collect()
     }
     fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) -> TcpActions {
         self.ep.on_segment(now, seg, &mut self.actions);
         TcpActions {
             delivered: self.actions.delivered.clone(),
-            to_send: self.actions.to_send.clone(),
+            to_send: self.actions.to_send.drain(..).collect(),
         }
     }
     fn on_rto(&mut self, now: SimTime) -> Vec<TcpSegment> {
         self.segments.clear();
         self.ep.on_rto(now, &mut self.segments);
-        self.segments.clone()
+        self.segments.drain(..).collect()
+    }
+    fn recycle(&mut self, payload: Vec<u8>) {
+        self.ep.recycle(payload)
     }
     fn rto_deadline(&self) -> Option<SimTime> {
         self.ep.rto_deadline()
@@ -377,24 +387,31 @@ fn scenario<E: Endpoint>(seed: u64, path: &Path) -> Vec<String> {
     let mut tie = 0u64;
     let mut log = Vec::new();
     let mut now = SimTime(1_000);
+    // Sends `segs` from `from` to endpoint `to`; a lost segment's
+    // payload goes straight back to its sender.
     let mut send = |net: &mut Vec<(SimTime, u64, usize, TcpSegment)>,
                     rng: &mut SimRng,
                     log: &mut Vec<String>,
                     now: SimTime,
+                    from: &mut E,
                     to: usize,
                     segs: Vec<TcpSegment>,
                     lossy: bool| {
         for seg in segs {
             log.push(format!("send->{to} {seg:?}"));
             if lossy && rng.chance(path.loss) {
+                from.recycle(seg.payload);
                 continue;
             }
             let copies = if lossy && rng.chance(path.dup) { 2 } else { 1 };
-            for _ in 0..copies {
+            for _ in 1..copies {
                 let delay = 500 + rng.uniform_u64(0, path.max_delay_us);
                 tie += 1;
                 net.push((now + Duration::from_micros(delay), tie, to, seg.clone()));
             }
+            let delay = 500 + rng.uniform_u64(0, path.max_delay_us);
+            tie += 1;
+            net.push((now + Duration::from_micros(delay), tie, to, seg));
         }
     };
     for step in 0..2_500u32 {
@@ -409,19 +426,34 @@ fn scenario<E: Endpoint>(seed: u64, path: &Path) -> Vec<String> {
                 eps[side].write(&bytes);
             }
             let segs = eps[side].flush(now);
-            send(&mut net, &mut rng, &mut log, now, 1 - side, segs, lossy);
-        }
-        // Deliver every due segment in arrival order.
-        net.sort_by_key(|(t, tie, ..)| (*t, *tie));
-        let due = net.iter().take_while(|(t, ..)| *t <= now).count();
-        for (_, _, to, seg) in net.drain(..due).collect::<Vec<_>>() {
-            let act = eps[to].on_segment(now, &seg);
-            log.push(format!("deliver@{to} {:?}", act.delivered));
+            let from = &mut eps[side];
             send(
                 &mut net,
                 &mut rng,
                 &mut log,
                 now,
+                from,
+                1 - side,
+                segs,
+                lossy,
+            );
+        }
+        // Deliver every due segment in arrival order.
+        net.sort_by_key(|(t, tie, ..)| (*t, *tie));
+        let due = net.iter().take_while(|(t, ..)| *t <= now).count();
+        // Each delivered copy's payload (duplicates included) goes back
+        // to its sender.
+        for (_, _, to, seg) in net.drain(..due).collect::<Vec<_>>() {
+            let act = eps[to].on_segment(now, &seg);
+            eps[1 - to].recycle(seg.payload);
+            log.push(format!("deliver@{to} {:?}", act.delivered));
+            let from = &mut eps[to];
+            send(
+                &mut net,
+                &mut rng,
+                &mut log,
+                now,
+                from,
                 1 - to,
                 act.to_send,
                 lossy,
@@ -431,7 +463,7 @@ fn scenario<E: Endpoint>(seed: u64, path: &Path) -> Vec<String> {
         for (side, ep) in eps.iter_mut().enumerate() {
             if ep.rto_deadline().is_some_and(|d| d <= now) {
                 let segs = ep.on_rto(now);
-                send(&mut net, &mut rng, &mut log, now, 1 - side, segs, lossy);
+                send(&mut net, &mut rng, &mut log, now, ep, 1 - side, segs, lossy);
             }
             log.push(format!(
                 "state {side} rto={:?} outstanding={} stats={:?}",

@@ -514,7 +514,7 @@ mod tests {
                 .view(),
         );
         assert_eq!(r1.status(), 503);
-        assert_eq!(r1.header_value("Retry-After"), Some("3"));
+        assert_eq!(r1.view().header_value("Retry-After"), Some("3"));
         let r2 = s.handle(
             Request::new("POST", "/interact/state")
                 .with_body(&body)
