@@ -1,13 +1,13 @@
 //! E12: supervised fleet kill/resume under chaos.
 //!
 //! Sweeps shard-fault intensity 0–4 over a supervised
-//! [`wm_fleet::Fleet`] fed one merged multi-victim stream, and
-//! compares its fault-free throughput against the unsupervised
-//! [`wm_online::decode_sessions_sharded`] baseline. Reported per
-//! intensity: kills, delivered verdicts, total loss-window sim-time
-//! and mean recovery latency; headline: fleet vs baseline sessions/sec
-//! and the supervision overhead ratio, written to `BENCH_fleet.json`
-//! (schema-checked in-process; CI validates the same file).
+//! [`wm_fleet::Fleet`] fed one merged multi-victim stream. Reported
+//! per intensity: kills, delivered verdicts, total loss-window
+//! sim-time, mean and worst-shard recovery latency, restore failures
+//! and health alerts, written to `BENCH_fleet.json` (schema-checked
+//! in-process; CI validates the same file and diffs it against
+//! `baselines/BENCH_fleet.json`). The intensity-2 run also writes the
+//! E13 artifacts `FLEET_series.jsonl` and `FLEET_flame.folded`.
 //!
 //! ```sh
 //! cargo run --release -p wm-bench --bin fleet_recovery [-- --smoke]
@@ -17,23 +17,19 @@
 //!
 //! The intensity-0 run doubles as an equivalence gate: with no faults
 //! injected, the supervised fleet must deliver exactly the per-victim
-//! verdicts the unsupervised baseline decodes.
+//! verdicts an unsupervised decode of each capture produces.
 
-use std::time::Instant;
-
-use wm_bench::fleet::{validate_fleet_json, IntensityRow};
-use wm_bench::throughput::peak_rss_bytes;
-use wm_bench::{
-    graph, sample_behavior, train_attack_for, viewer_cfg, write_bench_json, TraceTally, TIME_SCALE,
+use wm_bench::fleet::{
+    resident_fleet_cfg, run_fleet, staggered_stream, stream_span_us, validate_fleet_json,
+    IntensityRow,
 };
-use wm_capture::time::{Duration, SimTime};
+use wm_bench::{capture_pool, graph, train_attack_for, write_bench_json, CapturePool};
+use wm_capture::time::Duration;
 use wm_chaos::ShardFaultPlan;
-use wm_dataset::{OperationalConditions, ViewerSpec};
-use wm_fleet::{merge_taps, Fleet, FleetConfig, FleetReport, ObserverConfig, TapPacket};
+use wm_dataset::OperationalConditions;
+use wm_fleet::FleetReport;
 use wm_obs::collapse_spans;
-use wm_online::{decode_sessions_sharded, CapturedPacket};
-use wm_telemetry::Snapshot;
-use wm_trace::{SpanId, TraceEvent, TraceHandle};
+use wm_online::{replay_session, SessionDecode};
 
 const SHARDS: usize = 4;
 const INTENSITIES: [f64; 5] = [0.0, 1.0, 2.0, 3.0, 4.0];
@@ -50,80 +46,30 @@ fn main() {
 
     println!("=== E12: supervised fleet kill/resume ===\n");
 
-    // ---- capture pool -----------------------------------------------
     let pool_n: u64 = if smoke { 4 } else { 12 };
-    let mut telemetry = Snapshot::default();
-    let mut tally = TraceTally::default();
-    let gen_start = Instant::now();
-    let mut pool: Vec<Vec<CapturedPacket>> = Vec::new();
-    for v in 0..pool_n {
-        let seed = 83_000 + v;
-        let viewer = ViewerSpec {
-            id: v as u32,
-            seed,
-            behavior: sample_behavior(seed),
-            operational: cond,
-        };
-        let out = run_viewer_session(&graph, &viewer);
-        telemetry.merge(&out.telemetry);
-        tally.observe(&out.trace_events);
-        pool.push(
-            out.trace
-                .packets
-                .iter()
-                .map(|p| (SimTime(p.time.micros()), p.frame.clone()))
-                .collect(),
-        );
-    }
-    println!(
-        "  capture pool: {pool_n} sessions simulated in {:.2}s",
-        gen_start.elapsed().as_secs_f64()
-    );
-
-    // ---- victim batch + merged stream -------------------------------
     let victims: usize = if smoke { 8 } else { 48 };
-    let batch: Vec<Vec<CapturedPacket>> =
-        (0..victims).map(|v| pool[v % pool.len()].clone()).collect();
-    // One tap per victim, starts staggered 250 ms apart, merged into
-    // the single time-ordered stream the supervisor ingests.
-    let taps: Vec<Vec<TapPacket>> = batch
-        .iter()
-        .enumerate()
-        .map(|(v, packets)| {
-            let offset = v as u64 * 250_000;
-            packets
-                .iter()
-                .map(|(t, frame)| (SimTime(t.micros() + offset), v as u32, frame.clone()))
-                .collect()
-        })
-        .collect();
-    let stream = merge_taps(&taps);
-    let span_us = stream
-        .last()
-        .map(|(t, _, _)| t.micros())
-        .unwrap_or(1)
-        .max(1);
-
-    let mut cfg = FleetConfig::scaled(SHARDS, TIME_SCALE);
-    // Sessions overlap for the whole sweep; keep every victim resident
-    // so the intensity-0 run is packet-for-packet the baseline decode.
-    cfg.victim_idle = Duration::from_micros(span_us);
-    cfg.max_victims_per_shard = victims.max(1);
-
-    // ---- baseline: unsupervised sharded decode ----------------------
-    let t = Instant::now();
-    let baseline = decode_sessions_sharded(&classifier, &graph, &cfg.decode, &batch, 0);
-    let baseline_secs = t.elapsed().as_secs_f64();
-    let baseline_sessions_per_sec = victims as f64 / baseline_secs;
+    let CapturePool {
+        captures,
+        mut telemetry,
+        mut tally,
+    } = capture_pool(&graph, cond, 83_000, pool_n);
+    let stream = staggered_stream(&captures, victims);
+    let span_us = stream_span_us(&stream);
+    let cfg = resident_fleet_cfg(SHARDS, victims, span_us);
     println!(
-        "  baseline decode_sessions_sharded: {victims} sessions in {baseline_secs:.2}s \
-         ({baseline_sessions_per_sec:.1}/s)"
+        "  capture pool: {pool_n} sessions, {victims} victims, {} packets",
+        stream.len()
     );
+
+    // The unsupervised decode of each capture, for the intensity-0 gate.
+    let baseline: Vec<SessionDecode> = captures
+        .iter()
+        .map(|c| replay_session(&classifier, &graph, &cfg.decode, c))
+        .collect();
 
     // ---- fleet sweep over fault intensity ---------------------------
     let mut rows: Vec<IntensityRow> = Vec::new();
     let mut alerts: Vec<(u32, u64)> = Vec::new();
-    let mut fleet_sessions_per_sec = 0.0;
     for &intensity in &INTENSITIES {
         let plan = ShardFaultPlan::generate(
             0xE120 + intensity as u64,
@@ -131,12 +77,10 @@ fn main() {
             SHARDS,
             Duration::from_micros(span_us),
         );
-        let t = Instant::now();
-        let (report, trace_events) = run_fleet(&cfg, &classifier, &graph, &stream, &plan);
-        let secs = t.elapsed().as_secs_f64();
+        let (report, trace_events) =
+            run_fleet(&cfg, &classifier, &graph, &stream, Some(&plan), None);
         if intensity == 0.0 {
-            fleet_sessions_per_sec = victims as f64 / secs;
-            assert_intensity0_matches_baseline(&report, &baseline);
+            assert_intensity0_matches_baseline(&report, &baseline, victims);
         }
         let obs = report.obs.as_ref().expect("observer attached to every run");
         let alert_count = obs.status.transitions.len() as u64 + obs.status.transitions_dropped;
@@ -146,7 +90,7 @@ fn main() {
         let row = IntensityRow::from_report(intensity as u32, &report);
         println!(
             "  intensity {}: kills {:<3} restarts {:<3} verdicts {:<5} dropped {:<4} \
-             loss-window {:>8} µs  mean recovery {:>8} µs  ({:.1} sessions/s)",
+             loss-window {:>8} µs  mean recovery {:>8} µs",
             row.intensity,
             row.kills,
             row.restarts,
@@ -154,7 +98,6 @@ fn main() {
             row.dedup_dropped,
             row.loss_window_us,
             row.recovery_latency_us,
-            victims as f64 / secs,
         );
         println!(
             "               per-shard: restore failures {}  worst outage {} µs",
@@ -179,25 +122,8 @@ fn main() {
         rows.push(row);
     }
 
-    let overhead = baseline_sessions_per_sec / fleet_sessions_per_sec.max(f64::MIN_POSITIVE);
-    let peak_rss = peak_rss_bytes().unwrap_or(0);
-    println!(
-        "\n  fleet {fleet_sessions_per_sec:.1} sessions/s vs baseline \
-         {baseline_sessions_per_sec:.1}/s — supervision overhead {overhead:.2}x, \
-         peak RSS {:.1} MiB",
-        peak_rss as f64 / (1024.0 * 1024.0)
-    );
-
     // ---- report ------------------------------------------------------
-    let mut metrics: Vec<(String, f64)> = vec![
-        ("fleet_sessions_per_sec".into(), fleet_sessions_per_sec),
-        (
-            "baseline_sessions_per_sec".into(),
-            baseline_sessions_per_sec,
-        ),
-        ("supervision_overhead_ratio".into(), overhead),
-        ("peak_rss_bytes".into(), peak_rss as f64),
-    ];
+    let mut metrics: Vec<(String, f64)> = Vec::new();
     for row in &rows {
         metrics.push((format!("kills_i{}", row.intensity), row.kills as f64));
         metrics.push((format!("verdicts_i{}", row.intensity), row.verdicts as f64));
@@ -233,36 +159,6 @@ fn main() {
     println!("  BENCH_fleet.json schema: ok");
 }
 
-fn run_viewer_session(
-    graph: &std::sync::Arc<wm_story::StoryGraph>,
-    viewer: &ViewerSpec,
-) -> wm_sim::SessionOutput {
-    wm_sim::run_session(&viewer_cfg(graph, viewer)).expect("victim session")
-}
-
-fn run_fleet(
-    cfg: &FleetConfig,
-    classifier: &wm_core::IntervalClassifier,
-    graph: &std::sync::Arc<wm_story::StoryGraph>,
-    stream: &[TapPacket],
-    plan: &ShardFaultPlan,
-) -> (FleetReport, Vec<TraceEvent>) {
-    let mut fleet =
-        Fleet::new(cfg.clone(), classifier.clone(), graph.clone()).expect("valid fleet config");
-    fleet.inject(plan);
-    let trace = TraceHandle::new();
-    let root = trace.span_start_at(0, "fleet.run", SpanId::NONE);
-    fleet.attach_trace(trace.clone(), root);
-    fleet.attach_observer(ObserverConfig::default());
-    for (t, victim, frame) in stream {
-        fleet.push(*t, *victim, frame);
-    }
-    let end = stream.last().map(|(t, _, _)| t.micros()).unwrap_or(0);
-    let report = fleet.finish();
-    trace.span_end_at(end, root, "fleet.run");
-    (report, trace.snapshot())
-}
-
 fn write_artifact(path: &str, contents: &str) {
     match std::fs::write(path, contents) {
         Ok(()) => println!("               wrote {path}"),
@@ -271,21 +167,26 @@ fn write_artifact(path: &str, contents: &str) {
 }
 
 /// With no faults the supervised fleet must deliver exactly what the
-/// unsupervised baseline decodes, victim for victim.
-fn assert_intensity0_matches_baseline(report: &FleetReport, baseline: &[wm_online::SessionDecode]) {
+/// unsupervised decode of each victim's capture yields, victim for
+/// victim (victim `v` replays capture `v % baseline.len()`).
+fn assert_intensity0_matches_baseline(
+    report: &FleetReport,
+    baseline: &[SessionDecode],
+    victims: usize,
+) {
     assert_eq!(report.stats.kills, 0, "intensity 0 must inject nothing");
     assert!(
         report.loss_windows.is_empty(),
         "intensity 0 must not report loss"
     );
-    let mut per_victim = vec![0u64; baseline.len()];
+    let mut per_victim = vec![0u64; victims];
     for (victim, _) in &report.verdicts {
         per_victim[*victim as usize] += 1;
     }
-    for (v, decode) in baseline.iter().enumerate() {
+    for (v, delivered) in per_victim.iter().enumerate() {
         assert_eq!(
-            per_victim[v],
-            decode.verdicts.len() as u64,
+            *delivered,
+            baseline[v % baseline.len()].verdicts.len() as u64,
             "victim {v}: supervised fleet diverged from the unsupervised baseline"
         );
     }

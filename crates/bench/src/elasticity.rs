@@ -15,15 +15,9 @@ use wm_fleet::FleetReport;
 /// flags are the determinism contract (always 1, or the binary exits
 /// nonzero before writing); the per-intensity rows pin resize-under-
 /// chaos behaviour so a regression cannot pass the gate by dropping a
-/// column. Wall-clock-shaped names (`*_per_sec`, `*_ratio`, RSS) ride
-/// `Band::Any` in `bench_diff`; everything else is seed-deterministic
-/// and compares exactly.
+/// column. Every one is seed-deterministic, and `bench_diff` compares
+/// it exactly.
 pub const REQUIRED_METRICS: &[&str] = &[
-    "static_sessions_per_sec",
-    "elastic_sessions_per_sec",
-    "process_sessions_per_sec",
-    "resize_overhead_ratio",
-    "peak_rss_bytes",
     "equivalence_static_vs_elastic",
     "equivalence_inproc_vs_process",
     "resize_steps",

@@ -1,22 +1,25 @@
-//! Fleet-recovery measurement helpers (used by `bin/fleet_recovery.rs`).
-//!
-//! The binary sweeps shard-fault intensity 0–4 over a supervised
-//! [`wm_fleet::Fleet`] and compares its throughput against the
-//! unsupervised [`wm_online::decode_sessions_sharded`] baseline; this
-//! module holds the per-intensity summary arithmetic and the schema
-//! check CI runs against the emitted `BENCH_fleet.json`.
+//! Fleet harness pieces shared by `bin/fleet_recovery.rs` (E12) and
+//! `bin/elasticity.rs` (E14): the merged multi-victim tap stream, the
+//! supervised run itself, the per-intensity summary arithmetic, and
+//! the schema check CI runs against the emitted `BENCH_fleet.json`.
 
-use wm_fleet::FleetReport;
+use std::sync::Arc;
 
-/// Every metric `BENCH_fleet.json` must carry. The headline trio pins
-/// the supervision overhead story; the per-intensity rows pin the
-/// recovery behaviour across the 0–4 fault sweep so a regression in
-/// kill/resume cannot pass the schema gate by dropping a column.
+use wm_chaos::ShardFaultPlan;
+use wm_core::IntervalClassifier;
+use wm_fleet::{
+    merge_taps, Fleet, FleetConfig, FleetReport, ObserverConfig, ResizeSchedule, TapPacket,
+};
+use wm_net::time::{Duration, SimTime};
+use wm_online::CapturedPacket;
+use wm_story::StoryGraph;
+use wm_trace::{SpanId, TraceEvent, TraceHandle};
+
+/// Every metric `BENCH_fleet.json` must carry: the per-intensity rows
+/// pin the recovery behaviour across the 0–4 fault sweep, so a
+/// regression in kill/resume cannot pass the schema gate by dropping
+/// a column.
 pub const REQUIRED_METRICS: &[&str] = &[
-    "fleet_sessions_per_sec",
-    "baseline_sessions_per_sec",
-    "supervision_overhead_ratio",
-    "peak_rss_bytes",
     "kills_i0",
     "kills_i1",
     "kills_i2",
@@ -102,6 +105,80 @@ impl IntensityRow {
     }
 }
 
+/// Sim-time between consecutive victims' tap starts in a merged stream.
+pub const TAP_STAGGER_US: u64 = 250_000;
+
+/// One tap per victim, merged into the single time-ordered stream a
+/// fleet supervisor ingests: victim `v` replays
+/// `captures[v % captures.len()]`, started `v × TAP_STAGGER_US` in.
+pub fn staggered_stream(captures: &[Vec<CapturedPacket>], victims: usize) -> Vec<TapPacket> {
+    let taps: Vec<Vec<TapPacket>> = (0..victims)
+        .map(|v| {
+            let offset = v as u64 * TAP_STAGGER_US;
+            captures[v % captures.len()]
+                .iter()
+                .map(|(t, frame)| (SimTime(t.micros() + offset), v as u32, frame.clone()))
+                .collect()
+        })
+        .collect();
+    merge_taps(&taps)
+}
+
+/// Sim-time from 0 to a stream's last packet, µs (at least 1).
+pub fn stream_span_us(stream: &[TapPacket]) -> u64 {
+    stream
+        .last()
+        .map(|(t, _, _)| t.micros())
+        .unwrap_or(1)
+        .max(1)
+}
+
+/// A `shards`-wide harness fleet config that keeps all `victims`
+/// resident for a stream spanning `span_us`. Sessions overlap for the
+/// whole run, so a fault-free run is packet-for-packet the per-victim
+/// decode.
+pub fn resident_fleet_cfg(shards: usize, victims: usize, span_us: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::scaled(shards, crate::TIME_SCALE);
+    cfg.victim_idle = Duration::from_micros(span_us);
+    cfg.max_victims_per_shard = victims.max(1);
+    cfg
+}
+
+/// Run one supervised fleet over `stream`, with an optional fault plan
+/// and resize schedule, an observer, and a sim-time trace rooted at a
+/// `fleet.run` span. Panics if the fleet cannot be built, which on the
+/// process backend means the `shard_worker` binary is missing.
+pub fn run_fleet(
+    cfg: &FleetConfig,
+    classifier: &IntervalClassifier,
+    graph: &Arc<StoryGraph>,
+    stream: &[TapPacket],
+    plan: Option<&ShardFaultPlan>,
+    schedule: Option<&ResizeSchedule>,
+) -> (FleetReport, Vec<TraceEvent>) {
+    let mut fleet = Fleet::new(cfg.clone(), classifier.clone(), graph.clone()).expect(
+        "cannot construct fleet (process backend? build the worker first: \
+         cargo build --release -p wm-fleet)",
+    );
+    if let Some(plan) = plan {
+        fleet.inject(plan);
+    }
+    if let Some(schedule) = schedule {
+        fleet.schedule_resize(schedule);
+    }
+    let trace = TraceHandle::new();
+    let root = trace.span_start_at(0, "fleet.run", SpanId::NONE);
+    fleet.attach_trace(trace.clone(), root);
+    fleet.attach_observer(ObserverConfig::default());
+    for (t, victim, frame) in stream {
+        fleet.push(*t, *victim, frame);
+    }
+    let end = stream.last().map(|(t, _, _)| t.micros()).unwrap_or(0);
+    let report = fleet.finish();
+    trace.span_end_at(end, root, "fleet.run");
+    (report, trace.snapshot())
+}
+
 /// Validate a `BENCH_fleet.json` document: right bench name, and every
 /// [`REQUIRED_METRICS`] entry present as a finite, non-negative
 /// number. A thin wrapper over the shared
@@ -167,5 +244,30 @@ mod tests {
             &TraceTally::default(),
         );
         assert!(validate_fleet_json(&json).is_err());
+    }
+
+    #[test]
+    fn staggered_stream_cycles_captures_and_offsets_each_victim() {
+        let captures: Vec<Vec<CapturedPacket>> = vec![
+            vec![(SimTime(0), vec![0]), (SimTime(10), vec![1])],
+            vec![(SimTime(5), vec![2])],
+        ];
+        let stream = staggered_stream(&captures, 3);
+        let got: Vec<(u64, u32, u8)> = stream
+            .iter()
+            .map(|(t, v, f)| (t.micros(), *v, f[0]))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0, 0, 0),
+                (10, 0, 1),
+                (TAP_STAGGER_US + 5, 1, 2),
+                (2 * TAP_STAGGER_US, 2, 0),
+                (2 * TAP_STAGGER_US + 10, 2, 1),
+            ]
+        );
+        assert_eq!(stream_span_us(&stream), 2 * TAP_STAGGER_US + 10);
+        assert_eq!(stream_span_us(&[]), 1);
     }
 }

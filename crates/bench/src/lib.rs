@@ -1,9 +1,8 @@
 //! # wm-bench — experiment harnesses
 //!
 //! One binary per table/figure of the paper (see DESIGN.md's experiment
-//! index), plus criterion micro-benchmarks of the pipeline. The
-//! binaries print self-contained reports comparing the paper's numbers
-//! with the reproduction's:
+//! index). The binaries print self-contained reports comparing the
+//! paper's numbers with the reproduction's:
 //!
 //! | binary | artifact |
 //! |---|---|
@@ -17,11 +16,13 @@
 //! | `robustness_sweep` | robustness across conditions + classifier ablation (E8) |
 //! | `fault_sweep` | accuracy vs `wm-chaos` fault intensity (E9) |
 //! | `online_robustness` | streaming decoder vs capture impairment, with kill/resume (E10) |
-//! | `throughput` | sharded decode throughput + million-session soak (E11) |
+//! | `throughput` | sharded decode of a victim fleet (E11) |
 //! | `fleet_recovery` | supervised fleet kill/resume across fault intensities (E12) |
 //! | `elasticity` | live resharding + process-shard backend under chaos (E14) |
 //!
 //! Run any of them with `cargo run --release -p wm-bench --bin <name>`.
+//! Every metric they write is a function of the seeds; wall-clock speed
+//! is measured only by the repeated-trial harness in `benchmark/`.
 
 pub mod elasticity;
 pub mod fleet;
@@ -35,9 +36,12 @@ use std::sync::Arc;
 use wm_capture::labels::LabeledRecord;
 use wm_core::{WhiteMirror, WhiteMirrorConfig};
 use wm_dataset::{OperationalConditions, SimOptions, ViewerSpec};
+use wm_net::time::SimTime;
+use wm_online::CapturedPacket;
 use wm_player::ViewerScript;
 use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::StoryGraph;
+use wm_telemetry::Snapshot;
 use wm_trace::{counts_by_name, TraceEvent};
 
 /// The time scale every harness runs at (playback 40× so a full
@@ -105,6 +109,50 @@ pub fn sample_behavior(seed: u64) -> wm_behavior::BehaviorAttributes {
 /// Run one session for a viewer spec.
 pub fn run_viewer(graph: &Arc<StoryGraph>, viewer: &ViewerSpec) -> SessionOutput {
     run_session(&viewer_cfg(graph, viewer)).expect("harness session")
+}
+
+/// Simulated victim captures shared by the E11, E12 and E14 harnesses,
+/// with the telemetry and trace totals of the sessions that made them.
+pub struct CapturePool {
+    /// One tap capture per viewer, in viewer order.
+    pub captures: Vec<Vec<CapturedPacket>>,
+    pub telemetry: Snapshot,
+    pub tally: TraceTally,
+}
+
+/// Simulate `n` viewers under `operational`: viewer `v` has id `v` and
+/// seed `first_seed + v`, and its tapped packets become one capture.
+pub fn capture_pool(
+    graph: &Arc<StoryGraph>,
+    operational: OperationalConditions,
+    first_seed: u64,
+    n: u64,
+) -> CapturePool {
+    let mut pool = CapturePool {
+        captures: Vec::new(),
+        telemetry: Snapshot::default(),
+        tally: TraceTally::default(),
+    };
+    for v in 0..n {
+        let seed = first_seed + v;
+        let viewer = ViewerSpec {
+            id: v as u32,
+            seed,
+            behavior: sample_behavior(seed),
+            operational,
+        };
+        let out = run_viewer(graph, &viewer);
+        pool.telemetry.merge(&out.telemetry);
+        pool.tally.observe(&out.trace_events);
+        pool.captures.push(
+            out.trace
+                .packets
+                .iter()
+                .map(|p| (SimTime(p.time.micros()), p.frame.clone()))
+                .collect(),
+        );
+    }
+    pool
 }
 
 /// Render a percentage bar for terminal reports.

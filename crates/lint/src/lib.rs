@@ -5,9 +5,10 @@
 //!
 //! 1. **Determinism.** Golden-trace and byte-identity tests only prove
 //!    something if the same seed always produces the same bytes, so
-//!    byte-producing crates must not read wall clocks or iterate
-//!    randomized hash collections, and nothing may draw unseeded
-//!    entropy.
+//!    no crate reads a wall clock without a justified suppression
+//!    (wall-clock timing lives in `benchmark/`, outside the walk),
+//!    byte-producing crates must not iterate randomized hash
+//!    collections, and nothing may draw unseeded entropy.
 //! 2. **Panic-safety.** Attacker-facing parse paths (pcap, TLS record
 //!    reassembly, HTTP heads, JSON) consume adversarial bytes and must
 //!    return typed errors rather than panic.

@@ -174,16 +174,6 @@ pub fn process_spawn_applies(crate_name: &str) -> bool {
     !PROCESS_SPAWN_EXEMPT.contains(&crate_name)
 }
 
-/// Crates allowed to read wall clocks: the benchmark harness times real
-/// executions by definition. Everything else must justify a clock with
-/// a suppression (telemetry's span timers do exactly that).
-const WALL_CLOCK_EXEMPT: &[&str] = &["wm-bench"];
-
-/// Does the wall-clock rule apply to this crate?
-pub fn wall_clock_applies(crate_name: &str) -> bool {
-    !WALL_CLOCK_EXEMPT.contains(&crate_name)
-}
-
 /// Does the hash-collection rule apply to this crate?
 pub fn hash_collections_apply(crate_name: &str) -> bool {
     BYTE_PRODUCING_CRATES.contains(&crate_name)
@@ -238,9 +228,7 @@ pub fn check_source(crate_name: &str, rel_path: &str, src: &str) -> Vec<Finding>
     let tokens = strip_test_items(&lexed.tokens);
     let mut findings = Vec::new();
 
-    if wall_clock_applies(crate_name) {
-        wall_clock_rule(&tokens, rel_path, &mut findings);
-    }
+    wall_clock_rule(&tokens, rel_path, &mut findings);
     if trace_sim_time_applies(rel_path) {
         trace_sim_time_rule(&tokens, rel_path, &mut findings);
     }
@@ -367,8 +355,9 @@ fn wall_clock_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
                 file: file.to_string(),
                 line: t.line,
                 message: format!(
-                    "`{name}::now()` reads the wall clock; byte-producing code must use \
-                     simulated time (`wm_net::time`) so traces are reproducible"
+                    "`{name}::now()` reads the wall clock; workspace crates must use \
+                     simulated time (`wm_net::time`) so outputs are reproducible \
+                     (wall-clock timing belongs in `benchmark/`)"
                 ),
             });
         }
@@ -821,9 +810,13 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_exempts_bench() {
-        let f = check_source("wm-bench", NON_PARSE_PATH, "let t = Instant::now();");
-        assert!(f.is_empty());
+    fn wall_clock_fires_in_bench() {
+        let f = check_source(
+            "wm-bench",
+            "crates/bench/src/bin/throughput.rs",
+            "let t = Instant::now();",
+        );
+        assert_eq!(rules_of(&f), [WALL_CLOCK]);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Bench-regression gate: compare a candidate `BENCH_*.json` against a
 //! committed baseline with per-metric tolerance bands.
 //!
-//! Deterministic sim-derived metrics (verdict counts, kills, loss
-//! windows, accuracies) default to **exact** comparison — any drift is
-//! a behaviour change, not noise. Wall-clock-derived metrics
-//! (`*_per_sec`, RSS, speedups, overhead ratios) default to **any**:
-//! they must be present and finite but machines differ, so CI never
-//! flakes on them. Both defaults can be overridden per metric.
+//! Every bench metric is a function of the seeds (verdict counts,
+//! kills, loss windows, accuracies), so every metric defaults to
+//! **exact** comparison: any drift is a behaviour change, not noise.
+//! Wall-clock speed is measured only by `benchmark/`, never here. The
+//! default can be overridden per metric.
 //!
 //! The metrics parser is textual on purpose: bench metrics carry six
 //! fraction digits, more than the `wm-json` state-blob dialect admits.
@@ -78,18 +77,6 @@ pub enum Band {
 }
 
 impl Band {
-    /// Default band by metric name: wall-clock-derived metrics get
-    /// [`Band::Any`], everything else compares exactly.
-    pub fn default_for(metric: &str) -> Band {
-        const WALL_CLOCK_MARKERS: &[&str] =
-            &["per_sec", "rss", "secs", "speedup", "overhead", "ratio"];
-        if WALL_CLOCK_MARKERS.iter().any(|m| metric.contains(m)) {
-            Band::Any
-        } else {
-            Band::Exact
-        }
-    }
-
     /// Parse a CLI band spec: `exact`, `any`, `ratio:0.15`, `abs:3`.
     pub fn parse(spec: &str) -> Result<Band, String> {
         match spec {
@@ -197,8 +184,8 @@ impl DiffReport {
     }
 }
 
-/// Compare two bench documents. `overrides` replaces the per-name
-/// default band. Errors (name mismatch, unparseable JSON) are schema
+/// Compare two bench documents. `overrides` replaces the default
+/// [`Band::Exact`] per metric name. Errors (name mismatch, unparseable JSON) are schema
 /// problems, distinct from regressions.
 pub fn bench_diff(
     baseline_json: &str,
@@ -218,10 +205,7 @@ pub fn bench_diff(
     for (name, &base) in &baseline.metrics {
         match candidate.metrics.get(name) {
             Some(&cand) => {
-                let band = overrides
-                    .get(name)
-                    .copied()
-                    .unwrap_or_else(|| Band::default_for(name));
+                let band = overrides.get(name).copied().unwrap_or(Band::Exact);
                 rows.push(MetricDiff {
                     name: name.clone(),
                     baseline: base,
@@ -278,27 +262,31 @@ mod tests {
 
     #[test]
     fn parses_bench_documents() {
-        let json = doc(
-            "fleet",
-            &[("kills_i2", 5.0), ("fleet_sessions_per_sec", 41.5)],
-        );
+        let json = doc("fleet", &[("kills_i2", 5.0), ("loss_window_us_i2", 41.5)]);
         let parsed = BenchDoc::parse(&json).expect("parses");
         assert_eq!(parsed.bench, "fleet");
         assert_eq!(parsed.metrics["kills_i2"], 5.0);
-        assert_eq!(parsed.metrics["fleet_sessions_per_sec"], 41.5);
+        assert_eq!(parsed.metrics["loss_window_us_i2"], 41.5);
         assert!(BenchDoc::parse("{}").is_err());
         assert!(BenchDoc::parse("{\"bench\":\"x\",\"metrics\":{}}").is_err());
     }
 
     #[test]
-    fn default_bands_split_deterministic_from_wall_clock() {
-        assert_eq!(Band::default_for("verdicts_i3"), Band::Exact);
-        assert_eq!(Band::default_for("accuracy_i0_00"), Band::Exact);
-        assert_eq!(Band::default_for("loss_window_us_i2"), Band::Exact);
-        assert_eq!(Band::default_for("sessions_per_sec"), Band::Any);
-        assert_eq!(Band::default_for("peak_rss_bytes"), Band::Any);
-        assert_eq!(Band::default_for("speedup_vs_contiguous"), Band::Any);
-        assert_eq!(Band::default_for("supervision_overhead_ratio"), Band::Any);
+    fn every_metric_defaults_to_exact() {
+        let none = BTreeMap::new();
+        // Wall-clock-shaped names get no special band.
+        for name in [
+            "sessions_per_sec",
+            "peak_rss_bytes",
+            "overhead_ratio",
+            "verdicts_i3",
+        ] {
+            let base = doc("fleet", &[(name, 40.0)]);
+            let drift = doc("fleet", &[(name, 40.5)]);
+            let report = bench_diff(&base, &drift, &none).expect("parses");
+            assert_eq!(report.rows[0].band, Band::Exact, "{name}");
+            assert!(report.regressed(), "{name}: drift must regress");
+        }
     }
 
     #[test]
@@ -322,25 +310,15 @@ mod tests {
     #[test]
     fn exit_codes_are_pinned() {
         let none = BTreeMap::new();
-        let base = doc(
-            "fleet",
-            &[("kills_i2", 5.0), ("fleet_sessions_per_sec", 40.0)],
-        );
+        let base = doc("fleet", &[("kills_i2", 5.0), ("verdicts_i2", 40.0)]);
 
-        // 0: deterministic metric identical, wall-clock metric drifted.
-        let ok = doc(
-            "fleet",
-            &[("kills_i2", 5.0), ("fleet_sessions_per_sec", 99.0)],
-        );
-        let (code, out) = diff_exit_code(&base, &ok, &none);
+        // 0: every metric identical.
+        let (code, out) = diff_exit_code(&base, &base, &none);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("verdict: ok"));
 
-        // 1: deterministic metric drifted.
-        let drift = doc(
-            "fleet",
-            &[("kills_i2", 6.0), ("fleet_sessions_per_sec", 40.0)],
-        );
+        // 1: a metric drifted.
+        let drift = doc("fleet", &[("kills_i2", 6.0), ("verdicts_i2", 40.0)]);
         let (code, out) = diff_exit_code(&base, &drift, &none);
         assert_eq!(code, 1, "{out}");
         assert!(
@@ -349,17 +327,13 @@ mod tests {
         );
 
         // 1: metric dropped from the candidate.
-        let dropped = doc("fleet", &[("fleet_sessions_per_sec", 40.0)]);
+        let dropped = doc("fleet", &[("verdicts_i2", 40.0)]);
         assert_eq!(diff_exit_code(&base, &dropped, &none).0, 1);
 
         // 0: extra candidate metrics are reported, not regressions.
         let grown = doc(
             "fleet",
-            &[
-                ("kills_i2", 5.0),
-                ("fleet_sessions_per_sec", 40.0),
-                ("alerts_i2", 7.0),
-            ],
+            &[("kills_i2", 5.0), ("verdicts_i2", 40.0), ("alerts_i2", 7.0)],
         );
         let (code, out) = diff_exit_code(&base, &grown, &none);
         assert_eq!(code, 0, "{out}");
@@ -372,15 +346,17 @@ mod tests {
     }
 
     #[test]
-    fn overrides_replace_default_bands() {
-        let base = doc("throughput", &[("sessions_per_sec", 100.0)]);
-        let cand = doc("throughput", &[("sessions_per_sec", 80.0)]);
+    fn overrides_replace_the_exact_default() {
+        let base = doc("throughput", &[("verdicts_total", 100.0)]);
+        let cand = doc("throughput", &[("verdicts_total", 80.0)]);
         let mut bands = BTreeMap::new();
-        bands.insert("sessions_per_sec".to_string(), Band::Ratio(0.1));
-        // Default Any would pass; the tightened ratio band fails.
-        assert_eq!(diff_exit_code(&base, &cand, &BTreeMap::new()).0, 0);
+        // The exact default fails; a wide enough band admits the drift.
         assert_eq!(diff_exit_code(&base, &cand, &bands).0, 1);
-        bands.insert("sessions_per_sec".to_string(), Band::Ratio(0.5));
+        bands.insert("verdicts_total".to_string(), Band::Ratio(0.1));
+        assert_eq!(diff_exit_code(&base, &cand, &bands).0, 1);
+        bands.insert("verdicts_total".to_string(), Band::Ratio(0.5));
+        assert_eq!(diff_exit_code(&base, &cand, &bands).0, 0);
+        bands.insert("verdicts_total".to_string(), Band::Any);
         assert_eq!(diff_exit_code(&base, &cand, &bands).0, 0);
     }
 }

@@ -348,11 +348,18 @@ fn telemetry_and_trace_follow_the_online_path() {
     let handle = wm_trace::TraceHandle::new();
     let span = handle.span_start_at(0, "online.session", wm_trace::SpanId::NONE);
 
-    let mut dec = OnlineDecoder::new(clf, graph, OnlineConfig::scaled(TS));
+    let mut dec = OnlineDecoder::new(clf.clone(), graph.clone(), OnlineConfig::scaled(TS));
     dec.attach_telemetry(&registry);
     dec.attach_trace(handle.clone(), span);
     let verdicts = feed_all(&mut dec, &packets);
     handle.span_end_at(dec.watermark().micros(), span, "online.session");
+
+    // Observation never changes what the attacker decodes: the observed
+    // verdicts equal a bare decoder's, field for field.
+    let mut bare = OnlineDecoder::new(clf, graph, OnlineConfig::scaled(TS));
+    let bare_verdicts = feed_all(&mut bare, &packets);
+    assert!(!bare_verdicts.is_empty());
+    assert_eq!(verdicts, bare_verdicts);
 
     assert_eq!(
         registry.counter("online.packets").get(),
